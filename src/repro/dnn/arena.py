@@ -45,7 +45,8 @@ _MIN_BIN = 8  # 256-byte class
 
 
 def _size_class(nbytes: int) -> int:
-    return max(_MIN_BIN, math.ceil(math.log2(max(1, nbytes))))
+    # ``(n - 1).bit_length()`` is ceil(log2(n)) for positive ints, exactly.
+    return max(_MIN_BIN, (nbytes - 1).bit_length())
 
 
 @dataclass

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.dnn.ops import Op, TensorAccess
@@ -54,7 +55,18 @@ class Layer:
 
 
 class Graph:
-    """One training step's dataflow graph."""
+    """One training step's dataflow graph.
+
+    A graph is read-only once :meth:`GraphBuilder.finish` returns it: its
+    layers, ops, tensors and their lifetimes never change afterwards, and
+    tensor ids are local to the graph (``0..N-1``).  That is what lets
+    :class:`~repro.serve.server.Server` build one graph per job template
+    and hand the same object to every job's executor.  Per-job state lives
+    outside it — in the executor, the allocator's tensor mappings and the
+    placement policy.  Anything cached on a graph (like the per-layer
+    live-bytes table behind :meth:`live_bytes_at`, built once here) must be
+    derived from it alone and be the same for every job that shares it.
+    """
 
     def __init__(
         self,
@@ -70,6 +82,7 @@ class Graph:
         self.tensors = tensors
         self.metadata = dict(metadata or {})
         self._by_name = {t.name: t for t in tensors}
+        self._resident_bytes, self._live_bytes = self._live_table()
 
     # ------------------------------------------------------------ structure
 
@@ -103,17 +116,32 @@ class Graph:
 
     # --------------------------------------------------------------- memory
 
-    def live_bytes_at(self, layer_index: int) -> int:
-        """Bytes of tensors alive during ``layer_index`` (packed lower bound)."""
-        total = 0
+    def _live_table(self) -> Tuple[int, List[int]]:
+        """Preallocated bytes, and the live bytes of every layer.
+
+        Each step tensor adds its size at ``alloc_layer`` and removes it
+        after ``free_layer`` in a difference array; a running sum over it,
+        on top of the preallocated bytes, gives every layer's total in one
+        pass over the tensors.
+        """
+        delta = [0] * (self.num_layers + 1)
+        resident = 0
         for tensor in self.tensors:
             if tensor.preallocated:
-                total += tensor.nbytes
-            elif tensor.alloc_layer <= layer_index and (
-                tensor.free_layer is not None and layer_index <= tensor.free_layer
-            ):
-                total += tensor.nbytes
-        return total
+                resident += tensor.nbytes
+            elif tensor.free_layer is not None:
+                delta[tensor.alloc_layer] += tensor.nbytes
+                delta[tensor.free_layer + 1] -= tensor.nbytes
+        return resident, list(accumulate(delta[:-1], initial=resident))[1:]
+
+    def live_bytes_at(self, layer_index: int) -> int:
+        """Bytes of tensors alive during ``layer_index`` (packed lower bound).
+
+        Outside the step's layers only the preallocated tensors are live.
+        """
+        if 0 <= layer_index < len(self._live_bytes):
+            return self._live_bytes[layer_index]
+        return self._resident_bytes
 
     def peak_memory_bytes(self) -> int:
         """Peak memory consumption over the step (packed lower bound).
@@ -121,9 +149,7 @@ class Graph:
         This is the figure the paper sizes fast memory against ("20% of the
         peak memory consumption of DNN models").
         """
-        if not self.layers:
-            return sum(t.nbytes for t in self.preallocated())
-        return max(self.live_bytes_at(i) for i in range(self.num_layers))
+        return max(self._live_bytes, default=self._resident_bytes)
 
     def total_flops(self) -> float:
         return sum(layer.flops for layer in self.layers)

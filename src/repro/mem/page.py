@@ -180,6 +180,15 @@ class PageTable:
     def entries(self) -> Iterator[PageTableEntry]:
         return iter(self._entries.values())
 
+    def entries_by_vpn(self) -> Iterator[PageTableEntry]:
+        """Every run in ascending vpn order, read off the interval index.
+
+        Equal to ``sorted(entries(), key=vpn)`` without the sort.  The
+        table must not be mapped, unmapped or split while this iterates.
+        """
+        entries = self._entries
+        return (entries[vpn] for vpn in self._starts)
+
     def split(self, vpn: int, npages_first: int) -> PageTableEntry:
         """Split a run in two; returns the new second run.
 

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.chaos import EpisodeConfig, EpisodeDriver, generate_episodes
 from repro.core.runtime import SentinelPolicy
 from repro.dnn.executor import Executor
+from repro.dnn.graph import Graph
 from repro.errors import UncorrectableMemoryError
 from repro.harness.cluster import DEFAULT_CLUSTER_PRESSURE
 from repro.harness.runner import OOM_ERRORS, _sentinel_config, make_policy
@@ -367,6 +368,12 @@ class Server:
             config.admission, queue_limit=config.queue_limit
         )
         templates = {a.template.name: a.template for a in self.schedule}
+        # One graph per template, shared read-only by every job's executor
+        # (see :class:`~repro.dnn.graph.Graph`): zoo builds are
+        # deterministic, so rebuilding per dispatch only repeats work.
+        self._graphs: Dict[str, Graph] = {
+            name: t.build_graph() for name, t in templates.items()
+        }
         if machine is None:
             if platform is None:
                 from repro.mem.platforms import OPTANE_HM
@@ -377,10 +384,7 @@ class Server:
                     raise ValueError(
                         f"fast fraction must be positive: {fast_fraction!r}"
                     )
-                peaks = [
-                    t.build_graph().peak_memory_bytes()
-                    for t in templates.values()
-                ]
+                peaks = [g.peak_memory_bytes() for g in self._graphs.values()]
                 reference = max(peaks) * config.slots if peaks else 0
                 fast_capacity = max(
                     platform.page_size, int(reference * fast_fraction)
@@ -599,7 +603,7 @@ class Server:
             insight_scope = self.insight.scope(job.name)
             observers = (insight_scope,)
         executor = Executor(
-            template.build_graph(),
+            self._graphs[template.name],
             self.machine,
             policy,
             engine=self.engine,

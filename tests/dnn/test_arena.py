@@ -1,10 +1,12 @@
 """Arena allocator: chunk recycling, page persistence, BFC semantics."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dnn.alloc import AllocationError
-from repro.dnn.arena import ArenaAllocator
+from repro.dnn.arena import ArenaAllocator, _size_class
 from repro.dnn.tensor import Tensor, TensorKind
 from repro.mem.devices import DeviceKind
 from repro.mem.machine import Machine
@@ -24,6 +26,24 @@ def make_tensor(tid, nbytes):
     tensor.alloc_layer = 0
     tensor.free_layer = 0
     return tensor
+
+
+class TestSizeClass:
+    """Integer size classes bin exactly like the float ``ceil(log2(n))``."""
+
+    @staticmethod
+    def float_class(nbytes):
+        return max(8, math.ceil(math.log2(nbytes)))
+
+    def test_small_sizes(self):
+        for nbytes in range(1, 2**16 + 1):
+            assert _size_class(nbytes) == self.float_class(nbytes), nbytes
+
+    def test_power_of_two_boundaries(self):
+        for k in range(49):
+            for nbytes in (2**k - 1, 2**k, 2**k + 1):
+                if nbytes >= 1:
+                    assert _size_class(nbytes) == self.float_class(nbytes), nbytes
 
 
 class TestChunkRecycling:

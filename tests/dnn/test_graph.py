@@ -122,6 +122,28 @@ class TestGraphQueries:
         assert graph.live_bytes_at(1) == prealloc + 2048 + 4096
         assert graph.peak_memory_bytes() == prealloc + 2048 + 4096
 
+    def test_outside_the_step_only_preallocated_is_live(self):
+        graph = toy_graph()
+        assert graph.live_bytes_at(-1) == graph.live_bytes_at(2) == 4096 + 2048
+
+    @pytest.mark.parametrize("model", ["dcgan", "lstm", "mobilenet"])
+    def test_live_bytes_table_matches_a_tensor_scan(self, model):
+        from repro.models.zoo import build_model
+
+        graph = build_model(model)
+
+        def scan(index):
+            return sum(
+                t.nbytes
+                for t in graph.tensors
+                if t.preallocated
+                or (t.free_layer is not None and t.alloc_layer <= index <= t.free_layer)
+            )
+
+        live = [graph.live_bytes_at(i) for i in range(graph.num_layers)]
+        assert live == [scan(i) for i in range(graph.num_layers)]
+        assert graph.peak_memory_bytes() == max(live)
+
     def test_signature_stability(self):
         assert toy_graph().signature() == toy_graph().signature()
 

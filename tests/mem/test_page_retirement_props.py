@@ -9,7 +9,9 @@ or pre-existing fragmentation:
 * the sorted-start interval index stays consistent;
 * ``mapped_pages`` drops by exactly one page per retirement;
 * survivors tile the original span with only the dead pages missing;
-* split inheritance carries placement/poison/pin/initialized state.
+* split inheritance carries placement/poison/pin/initialized state;
+* ``entries_by_vpn()`` (the walk the pressure governor's reclaim takes)
+  equals a vpn sort of ``entries()`` after any map/unmap/split/retire mix.
 
 Skipped wholesale when hypothesis is unavailable (it is an optional test
 dependency; the simulator itself never imports it).
@@ -40,6 +42,9 @@ def assert_index_consistent(table):
     starts = table._starts
     assert starts == sorted(starts)
     assert set(starts) == set(e.vpn for e in table.entries())
+    assert list(table.entries_by_vpn()) == sorted(
+        table.entries(), key=lambda r: r.vpn
+    )
     spans = sorted((e.vpn, e.npages) for e in table.entries())
     for (vpn, npages), (next_vpn, _) in zip(spans, spans[1:]):
         assert vpn + npages <= next_vpn  # no overlap
@@ -127,3 +132,35 @@ class TestRetirementProperties:
             if run is victim:
                 continue
             assert table.run_containing(run.vpn) is not None
+
+
+#: One page-table operation: (kind, which run, size or offset).
+OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["map", "unmap", "split", "retire"]),
+        st.integers(min_value=0, max_value=1 << 16),
+        st.integers(min_value=1, max_value=16),
+    ),
+    max_size=60,
+)
+
+
+class TestVpnOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(operations=OPERATIONS)
+    def test_entries_by_vpn_equals_sorted_entries(self, operations):
+        table = PageTable()
+        for kind, pick, size in operations:
+            runs = list(table.entries())
+            if kind == "map" or not runs:
+                table.map_run(size, DeviceKind.FAST if pick % 2 else DeviceKind.SLOW)
+                continue
+            run = runs[pick % len(runs)]
+            if kind == "unmap":
+                table.unmap(run.vpn)
+            elif kind == "split":
+                if run.npages > 1:
+                    table.split(run.vpn, 1 + size % (run.npages - 1))
+            else:
+                retire(table, run.vpn + size % run.npages)
+            assert_index_consistent(table)
