@@ -13,15 +13,14 @@ The simulator keeps two implementations of every accelerated hot path:
   order, so enabling vectorization never changes a simulated result.
 
 The switch is process-global (the paths are semantically identical, so it
-is a performance knob, not an experiment parameter).  Select the scalar
-reference with ``REPRO_SCALAR=1`` in the environment, the ``--scalar-path``
-CLI flag, or :func:`set_scalar_path` / the :func:`scalar_path` context
-manager in tests.
+is a performance knob, not an experiment parameter).  The vectorized path
+is the default; the differential suites and the wall-clock benchmark select
+the scalar reference with :func:`set_scalar_path` or the :func:`scalar_path`
+context manager.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -33,22 +32,12 @@ __all__ = [
 ]
 
 #: Process-global reference-path flag; ``True`` selects the scalar loops.
-_SCALAR = os.environ.get("REPRO_SCALAR", "").strip() not in ("", "0", "false")
-
-# The vectorized paths lean on numpy; without it every hot path silently
-# takes its scalar twin (identical results, just slower) rather than
-# making numpy a hard dependency of the whole simulator.
-try:
-    import numpy as _numpy  # noqa: F401
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _HAVE_NUMPY = False
+_SCALAR = False
 
 
 def vectorized_enabled() -> bool:
     """Whether hot paths should take their vectorized implementation."""
-    return _HAVE_NUMPY and not _SCALAR
+    return not _SCALAR
 
 
 def scalar_enabled() -> bool:

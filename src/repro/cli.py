@@ -272,9 +272,31 @@ def _chaos_from(args) -> Optional[ChaosConfig]:
     injector at all, keeping the default path bit-identical to pre-chaos
     builds.
     """
-    if not args.fault_rate:
+    fault_rate = getattr(args, "fault_rate", 0.0)
+    if not fault_rate:
         return None
-    return ChaosConfig.uniform(args.fault_rate, seed=args.chaos_seed)
+    return ChaosConfig.uniform(fault_rate, seed=getattr(args, "chaos_seed", 0))
+
+
+def _run_kwargs(args) -> dict:
+    """The :func:`run_policy` keyword arguments a subcommand's flags ask for.
+
+    The one place flags become simulation arguments.  Flags a subcommand
+    lacks read as their off defaults (``getattr``), which ``run_policy``
+    treats exactly like not passing them.
+    """
+    admission, admission_args = _admission_from(args)
+    return {
+        "batch_size": getattr(args, "batch", None),
+        "platform": getattr(args, "platform", OPTANE_HM),
+        "fast_fraction": getattr(args, "fast_fraction", None),
+        "chaos": _chaos_from(args),
+        "audit": getattr(args, "audit", False),
+        "pressure": _pressure_from(args),
+        "ras": _ras_from(args),
+        "admission": admission,
+        "admission_args": admission_args,
+    }
 
 
 def _platform(name: str) -> Platform:
@@ -285,44 +307,52 @@ def _platform(name: str) -> Platform:
     raise argparse.ArgumentTypeError(f"unknown platform {name!r} (optane|gpu)")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_machine_flags(parser, fast_fraction_default) -> None:
+    """Attach the single-run flags: batch, platform, fast memory, chaos."""
+    parser.add_argument("--batch", type=int, default=None)
+    parser.add_argument("--platform", type=_platform, default=OPTANE_HM)
+    parser.add_argument(
+        "--fast-fraction",
+        type=float,
+        default=fast_fraction_default,
+        help="fast memory as a fraction of the model's peak (paper: 0.2)",
+    )
+    parser.add_argument(
+        "--fault-rate",
+        type=float,
+        default=0.0,
+        help="inject faults at this rate (0 = no injector attached)",
+    )
+    parser.add_argument(
+        "--chaos-seed",
+        type=int,
+        default=0,
+        help="seed for the deterministic fault injector",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Sentinel (HPCA 2021) reproduction on a simulated "
         "heterogeneous-memory machine.",
     )
-    parser.add_argument(
-        "--scalar-path",
-        action="store_true",
-        help="run the scalar reference accounting path instead of the "
-        "vectorized one (identical results, slower; for differential "
-        "debugging)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one policy on one model")
     run.add_argument("model", choices=sorted(MODELS))
     run.add_argument("policy", choices=sorted(POLICIES))
-    run.add_argument("--batch", type=int, default=None)
-    run.add_argument("--platform", type=_platform, default=OPTANE_HM)
-    run.add_argument(
-        "--fast-fraction",
-        type=float,
-        default=None,
-        help="fast memory as a fraction of the model's peak (paper: 0.2)",
-    )
-    run.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.0,
-        help="inject faults at this rate (0 = no injector attached)",
-    )
-    run.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        help="seed for the deterministic fault injector",
-    )
+    _add_machine_flags(run, fast_fraction_default=None)
     run.add_argument(
         "--audit",
         action="store_true",
@@ -409,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--chaos-seed", type=int, default=0)
     grid.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="grid points to run in parallel (multiprocessing); results are "
         "merged deterministically and byte-identical to --workers 1",
@@ -556,11 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("model", choices=sorted(MODELS))
     trace.add_argument("policy", choices=sorted(POLICIES))
-    trace.add_argument("--batch", type=int, default=None)
-    trace.add_argument("--platform", type=_platform, default=OPTANE_HM)
-    trace.add_argument("--fast-fraction", type=float, default=0.2)
-    trace.add_argument("--fault-rate", type=float, default=0.0)
-    trace.add_argument("--chaos-seed", type=int, default=0)
+    _add_machine_flags(trace, fast_fraction_default=0.2)
     trace.add_argument(
         "--out",
         metavar="PATH",
@@ -581,11 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     critpath.add_argument("model", choices=sorted(MODELS))
     critpath.add_argument("policy", choices=sorted(POLICIES))
-    critpath.add_argument("--batch", type=int, default=None)
-    critpath.add_argument("--platform", type=_platform, default=OPTANE_HM)
-    critpath.add_argument("--fast-fraction", type=float, default=0.2)
-    critpath.add_argument("--fault-rate", type=float, default=0.0)
-    critpath.add_argument("--chaos-seed", type=int, default=0)
+    _add_machine_flags(critpath, fast_fraction_default=0.2)
     critpath.add_argument(
         "--capacity",
         type=int,
@@ -616,11 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     insight.add_argument("model", choices=sorted(MODELS))
     insight.add_argument("policy", choices=sorted(POLICIES))
-    insight.add_argument("--batch", type=int, default=None)
-    insight.add_argument("--platform", type=_platform, default=OPTANE_HM)
-    insight.add_argument("--fast-fraction", type=float, default=0.2)
-    insight.add_argument("--fault-rate", type=float, default=0.0)
-    insight.add_argument("--chaos-seed", type=int, default=0)
+    _add_machine_flags(insight, fast_fraction_default=0.2)
     insight.add_argument(
         "--top", type=int, default=10, help="tensors to list in the table"
     )
@@ -754,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     tournament.add_argument("--platform", type=_platform, default=OPTANE_HM)
     tournament.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="cells to run in parallel (multiprocessing); merged "
         "deterministically, byte-identical to --workers 1",
@@ -775,28 +793,18 @@ def build_parser() -> argparse.ArgumentParser:
 # ------------------------------------------------------------------ commands
 
 def _cmd_run(args) -> int:
-    chaos = _chaos_from(args)
     tracer = None
     if args.trace:
         from repro.obs import EventTracer
 
         tracer = EventTracer()
     collector = _insight_from(args)
-    admission, admission_args = _admission_from(args)
     metrics = run_policy(
         args.policy,
         model=args.model,
-        batch_size=args.batch,
-        platform=args.platform,
-        fast_fraction=args.fast_fraction,
-        chaos=chaos,
-        audit=args.audit,
         tracer=tracer,
-        pressure=_pressure_from(args),
-        ras=_ras_from(args),
         insight=collector,
-        admission=admission,
-        admission_args=admission_args,
+        **_run_kwargs(args),
     )
     rows = [
         ("step time (s)", f"{metrics.step_time:.4f}"),
@@ -846,16 +854,12 @@ def _cmd_compare(args) -> int:
     order = [name for name in POLICIES if name not in skip]
     rows = []
     baseline: Optional[float] = None
+    kwargs = _run_kwargs(args)
+    fraction = kwargs["fast_fraction"]
     for name in order:
-        fraction = None if name in ("slow-only", "fast-only") else args.fast_fraction
+        kwargs["fast_fraction"] = None if name in ("slow-only", "fast-only") else fraction
         try:
-            metrics = run_policy(
-                name,
-                model=args.model,
-                batch_size=args.batch,
-                platform=args.platform,
-                fast_fraction=fraction,
-            )
+            metrics = run_policy(name, model=args.model, **kwargs)
         except UnsupportedModelError:
             rows.append((name, "x", "x", "x"))
             continue
@@ -910,12 +914,12 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    fast = run_policy("fast-only", model=args.model, batch_size=args.batch)
+    kwargs = _run_kwargs(args)
+    fast = run_policy("fast-only", model=args.model, **kwargs)
     rows = []
     for fraction in args.fractions:
-        metrics = run_policy(
-            "sentinel", model=args.model, batch_size=args.batch, fast_fraction=fraction
-        )
+        kwargs["fast_fraction"] = fraction
+        metrics = run_policy("sentinel", model=args.model, **kwargs)
         rows.append(
             (
                 f"{fraction:.0%}",
@@ -965,19 +969,19 @@ def _cmd_experiment(args) -> int:
 def _cmd_grid(args) -> int:
     from repro.harness.sweeps import sweep
 
-    admission, admission_args = _admission_from(args)
+    kwargs = _run_kwargs(args)
     result = sweep(
         policies=args.policies,
         models=args.models,
-        fast_fractions=(args.fast_fraction,),
-        platform=args.platform,
-        chaos=_chaos_from(args),
+        fast_fractions=(kwargs["fast_fraction"],),
+        platform=kwargs["platform"],
+        chaos=kwargs["chaos"],
         trace=args.trace is not None,
-        pressure=_pressure_from(args),
+        pressure=kwargs["pressure"],
         workers=args.workers,
         insight=args.insight is not None,
-        admission=admission,
-        admission_args=admission_args,
+        admission=kwargs["admission"],
+        admission_args=kwargs["admission_args"],
     )
     print(result.to_table(value=args.value))
     failures = [p for p in result if not p.ok]
@@ -1309,13 +1313,7 @@ def _cmd_trace(args) -> int:
 
     tracer = EventTracer()
     metrics = run_policy(
-        args.policy,
-        model=args.model,
-        batch_size=args.batch,
-        platform=args.platform,
-        fast_fraction=args.fast_fraction,
-        chaos=_chaos_from(args),
-        tracer=tracer,
+        args.policy, model=args.model, tracer=tracer, **_run_kwargs(args)
     )
     events = tracer.events
     title = (
@@ -1354,15 +1352,7 @@ def _cmd_critpath(args) -> int:
 
     tracer = EventTracer(capacity=args.capacity)
     metrics = run_policy(
-        args.policy,
-        model=args.model,
-        batch_size=args.batch,
-        platform=args.platform,
-        fast_fraction=args.fast_fraction,
-        chaos=_chaos_from(args),
-        pressure=_pressure_from(args),
-        ras=_ras_from(args),
-        tracer=tracer,
+        args.policy, model=args.model, tracer=tracer, **_run_kwargs(args)
     )
     try:
         attribution = attribute(tracer.events, dropped=tracer.dropped)
@@ -1429,14 +1419,9 @@ def _cmd_insight(args) -> int:
     metrics = run_policy(
         args.policy,
         model=args.model,
-        batch_size=args.batch,
-        platform=args.platform,
-        fast_fraction=args.fast_fraction,
-        chaos=_chaos_from(args),
-        pressure=_pressure_from(args),
-        ras=_ras_from(args),
         tracer=tracer,
         insight=collector,
+        **_run_kwargs(args),
     )
     report = collector.report(
         meta={
@@ -1597,10 +1582,6 @@ def _cmd_models(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.scalar_path:
-        from repro import accel
-
-        accel.set_scalar_path(True)
     handlers = {
         "run": _cmd_run,
         "compare": _cmd_compare,

@@ -50,10 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - scalar fallback, see repro.accel
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro import accel
 from repro.dnn.alloc import Allocator, TensorMapping
@@ -220,11 +217,8 @@ class Executor:
         """
         ops = [op for layer in self.graph.layers for op in layer.ops]
         throughput = self.machine.platform.compute_throughput
-        if np is not None:
-            flops = np.array([op.flops for op in ops], dtype=np.float64)
-            self._op_compute_times: List[float] = (flops / throughput).tolist()
-        else:
-            self._op_compute_times = [op.flops / throughput for op in ops]
+        flops = np.array([op.flops for op in ops], dtype=np.float64)
+        self._op_compute_times: List[float] = (flops / throughput).tolist()
         self._op_step_tensors: List[Tuple[Tensor, ...]] = [
             tuple(
                 access.tensor

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar,
+)
 
 from repro import accel
 from repro.baselines.vdnn import UnsupportedModelError
@@ -32,6 +34,43 @@ def point_seed(base_seed: int, *key: object) -> int:
     """
     material = ":".join(str(part) for part in (base_seed,) + key)
     return zlib.crc32(material.encode("utf-8"))
+
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+
+def pmap(func: Callable[[_T], _R], items: Iterable[_T], workers: int = 1) -> List[_R]:
+    """``[func(item) for item in items]``, optionally over a process pool.
+
+    The harness's one worker pool (sweeps, tournaments and the figure
+    experiments all run through it).  Its contract:
+
+    * results come back in input order, whichever worker finishes first,
+      so a pooled run is byte-identical to a serial one as long as every
+      item is an isolated, self-seeded simulation;
+    * each worker mirrors the parent's :mod:`repro.accel` scalar/vectorized
+      flag (process-global state that a spawned worker would not inherit);
+    * ``workers == 1`` (or at most one item) runs inline and never imports
+      :mod:`multiprocessing`.
+
+    ``func`` must be a module-level function, since the pool pickles it.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    items = list(items)
+    if workers == 1 or len(items) <= 1:
+        return [func(item) for item in items]
+
+    import multiprocessing
+
+    ctx = multiprocessing.get_context()
+    with ctx.Pool(
+        processes=min(workers, len(items)),
+        initializer=accel.set_scalar_path,
+        initargs=(accel.scalar_enabled(),),
+    ) as pool:
+        return list(pool.imap(func, items))
 
 
 @dataclass(frozen=True)
@@ -137,14 +176,8 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class _PointSpec:
-    """Everything one grid point needs to run, in any process.
+    """Everything one grid point needs to run, in any process."""
 
-    ``index`` is the point's position in the deterministic serial
-    enumeration order; the parallel runner merges by it, so the returned
-    :class:`SweepResult` is identical whatever order workers finish in.
-    """
-
-    index: int
     policy: str
     model: str
     batch_size: Optional[int]
@@ -194,7 +227,6 @@ def _enumerate_grid(
                     )
                 specs.append(
                     _PointSpec(
-                        index=len(specs),
                         policy=policy,
                         model=model,
                         batch_size=batch,
@@ -264,20 +296,6 @@ def _run_point(spec: _PointSpec) -> SweepPoint:
         )
 
 
-def _init_worker(scalar: bool) -> None:
-    """Pool initializer: mirror the parent's accounting-path flag.
-
-    The scalar/vectorized switch is process-global state, so a spawned
-    worker (which does not inherit the parent's in-memory flag) must be
-    told explicitly; under fork this is a harmless re-set.
-    """
-    accel.set_scalar_path(scalar)
-
-
-def _run_point_indexed(spec: _PointSpec) -> Tuple[int, SweepPoint]:
-    return spec.index, _run_point(spec)
-
-
 def sweep(
     policies: Sequence[str],
     models: Sequence[str],
@@ -325,37 +343,18 @@ def sweep(
     stateful, so instances are constructed in the running process rather
     than shared across points.
 
-    With ``workers > 1`` the grid points run on a multiprocessing pool.
-    Every point is an isolated simulation keyed by its own spec (chaos
-    already reseeded per point), so the result is merged back into serial
-    enumeration order by spec index and is byte-identical to ``workers=1``
-    no matter which worker finishes first.  ``workers=1`` never touches
-    multiprocessing.
+    With ``workers > 1`` the grid points run through :func:`pmap`.  Every
+    point is an isolated simulation keyed by its own spec (chaos already
+    reseeded per point), so the result is byte-identical to ``workers=1``
+    no matter which worker finishes first.
     """
     if not policies or not models:
         raise ValueError("need at least one policy and one model")
     if not fast_fractions:
         raise ValueError("need at least one fast fraction (use (None,) for default)")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
     specs = _enumerate_grid(
         policies, models, fast_fractions, batch_sizes,
         platform, chaos, trace, pressure, insight,
         admission, admission_args,
     )
-    if workers == 1 or len(specs) == 1:
-        return SweepResult(points=[_run_point(spec) for spec in specs])
-
-    import multiprocessing
-
-    merged: List[Optional[SweepPoint]] = [None] * len(specs)
-    ctx = multiprocessing.get_context()
-    with ctx.Pool(
-        processes=min(workers, len(specs)),
-        initializer=_init_worker,
-        initargs=(accel.scalar_enabled(),),
-    ) as pool:
-        for index, point in pool.imap_unordered(_run_point_indexed, specs):
-            merged[index] = point
-    assert all(point is not None for point in merged)
-    return SweepResult(points=merged)  # type: ignore[arg-type]
+    return SweepResult(points=pmap(_run_point, specs, workers))

@@ -26,6 +26,54 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "lstm", "sentinel", "--platform", "tpu"])
 
+    @pytest.mark.parametrize("command", ["grid", "tournament"])
+    @pytest.mark.parametrize("workers", ["0", "-2", "two"])
+    def test_workers_must_be_a_positive_int(self, command, workers, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--workers", workers])
+        assert exit_info.value.code == 2
+        assert "argument --workers" in capsys.readouterr().err
+        assert build_parser().parse_args([command, "--workers", "3"]).workers == 3
+
+    def test_run_kwargs_come_from_flags(self):
+        import inspect
+
+        from repro.cli import _run_kwargs
+        from repro.harness.runner import run_policy
+        from repro.mem.platforms import OPTANE_HM
+
+        parser = build_parser()
+        quiet = _run_kwargs(parser.parse_args(["trace", "dcgan", "sentinel"]))
+        assert quiet == {
+            "batch_size": None,
+            "platform": OPTANE_HM,
+            "fast_fraction": 0.2,
+            "chaos": None,
+            "audit": False,
+            "pressure": None,
+            "ras": None,
+            "admission": None,
+            "admission_args": None,
+        }
+        assert set(quiet) <= set(inspect.signature(run_policy).parameters)
+        loud = _run_kwargs(
+            parser.parse_args(
+                [
+                    "run", "dcgan", "sentinel", "--batch", "8", "--audit",
+                    "--fault-rate", "0.1", "--chaos-seed", "3",
+                    "--fast-watermarks", "0.75,0.9", "--ue-rate", "1e-12",
+                    "--admission", "feedback",
+                    "--admission-args", "stall_target=0.05",
+                ]
+            )
+        )
+        assert loud["batch_size"] == 8 and loud["audit"] is True
+        assert loud["fast_fraction"] is None
+        assert loud["chaos"].seed == 3
+        assert loud["pressure"] is not None and loud["ras"] is not None
+        assert loud["admission"] == "feedback"
+        assert loud["admission_args"] == {"stall_target": 0.05}
+
     def test_every_experiment_id_maps_to_a_function(self):
         from repro.harness import experiments
 

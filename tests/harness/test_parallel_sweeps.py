@@ -119,9 +119,16 @@ class TestGridEnumeration:
             ("sentinel", "slow-only"), ("dcgan", "lstm"), (0.2, 0.4),
             None, OPTANE_HM, None, False, None,
         )
-        assert [spec.index for spec in specs] == list(range(len(specs)))
-        # slow-only is fraction-independent: one point per model.
-        assert sum(spec.policy == "slow-only" for spec in specs) == 2
+        # Models outermost, then policies, then fractions; slow-only is
+        # fraction-independent, so it gets one point per model.
+        assert [(s.model, s.policy, s.fast_fraction) for s in specs] == [
+            ("dcgan", "sentinel", 0.2),
+            ("dcgan", "sentinel", 0.4),
+            ("dcgan", "slow-only", None),
+            ("lstm", "sentinel", 0.2),
+            ("lstm", "sentinel", 0.4),
+            ("lstm", "slow-only", None),
+        ]
 
     def test_run_point_matches_sweep_point(self):
         specs = _enumerate_grid(

@@ -105,11 +105,18 @@ class TestEnumeration:
             ("dcgan", "lstm"), ("sentinel",), ("always", "feedback"),
             (False, True), 0.2, OPTANE_HM, None,
         )
-        assert [s.index for s in specs] == list(range(len(specs)))
-        assert [s.policy for s in specs[:2]] == ["fast-only", "fast-only"]
+        assert [(s.model, s.policy) for s in specs[:2]] == [
+            ("dcgan", "fast-only"),
+            ("lstm", "fast-only"),
+        ]
+        # Then models, policies, admissions, governors, innermost last.
+        assert [(s.model, s.admission, s.governor) for s in specs[2:]] == [
+            (model, admission, governor)
+            for model in ("dcgan", "lstm")
+            for admission in ("always", "feedback")
+            for governor in (False, True)
+        ]
         assert all(s.admission is None for s in specs[:2])
-        assert all(s.admission is not None for s in specs[2:])
-        assert len(specs) == 2 + 2 * 1 * 2 * 2
 
     def test_admission_args_reach_only_their_controller(self):
         specs = _enumerate_cells(

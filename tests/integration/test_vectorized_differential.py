@@ -131,8 +131,5 @@ class TestSwitch:
         assert accel.scalar_enabled() == before
 
     def test_default_is_vectorized(self):
-        # Unless REPRO_SCALAR selected otherwise, the fast path is on.
-        import os
-
-        if os.environ.get("REPRO_SCALAR", "").strip() in ("", "0", "false"):
-            assert accel.vectorized_enabled()
+        assert accel.vectorized_enabled()
+        assert not accel.scalar_enabled()
