@@ -26,6 +26,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -317,13 +318,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> float:
+    """argparse type for a fraction of peak: a positive, finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def _add_machine_flags(parser, fast_fraction_default) -> None:
     """Attach the single-run flags: batch, platform, fast memory, chaos."""
     parser.add_argument("--batch", type=int, default=None)
     parser.add_argument("--platform", type=_platform, default=OPTANE_HM)
     parser.add_argument(
         "--fast-fraction",
-        type=float,
+        type=_fraction,
         default=fast_fraction_default,
         help="fast memory as a fraction of the model's peak (paper: 0.2)",
     )
@@ -373,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("model", choices=sorted(MODELS))
     compare.add_argument("--batch", type=int, default=None)
     compare.add_argument("--platform", type=_platform, default=OPTANE_HM)
-    compare.add_argument("--fast-fraction", type=float, default=0.2)
+    compare.add_argument("--fast-fraction", type=_fraction, default=0.2)
 
     profile = sub.add_parser("profile", help="Sentinel's dynamic profile of a model")
     profile.add_argument("model", choices=sorted(MODELS))
@@ -385,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--batch", type=int, default=None)
     sweep.add_argument(
         "--fractions",
-        type=float,
+        type=_fraction,
         nargs="+",
         default=(0.2, 0.3, 0.4, 0.6),
     )
@@ -421,13 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=[0.0, 0.05, 0.1, 0.2],
     )
-    chaos.add_argument("--fast-fraction", type=float, default=0.2)
+    chaos.add_argument("--fast-fraction", type=_fraction, default=0.2)
     chaos.add_argument("--chaos-seed", type=int, default=1234)
 
     grid = sub.add_parser("grid", help="free-form policy x model sweep")
     grid.add_argument("--policies", nargs="+", default=["slow-only", "ial", "autotm", "sentinel", "fast-only"], choices=sorted(POLICIES))
     grid.add_argument("--models", nargs="+", default=["resnet32", "lstm", "dcgan"], choices=sorted(MODELS))
-    grid.add_argument("--fast-fraction", type=float, default=0.2)
+    grid.add_argument("--fast-fraction", type=_fraction, default=0.2)
     grid.add_argument("--platform", type=_platform, default=OPTANE_HM)
     grid.add_argument("--value", default="step_time", help="RunMetrics field to tabulate")
     grid.add_argument(
@@ -476,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pressure.add_argument(
         "--fractions",
-        type=float,
+        type=_fraction,
         nargs="+",
         default=[0.1, 0.05],
         help="fast memory as fractions of each model's peak",
@@ -512,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     concurrent.add_argument("--platform", type=_platform, default=OPTANE_HM)
     concurrent.add_argument(
         "--fast-fraction",
-        type=float,
+        type=_fraction,
         default=0.2,
         help="fast memory as a fraction of the workloads' combined peak",
     )
@@ -560,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--restart-budget", type=int, default=2, help="failure-episode restarts per job")
     serve.add_argument(
         "--fast-fraction",
-        type=float,
+        type=_fraction,
         default=0.5,
         help="fast memory as a fraction of (largest template peak x slots)",
     )
@@ -677,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="models to benchmark (default: the CI smoke set)",
     )
     bench.add_argument("--policy", choices=sorted(POLICIES), default="sentinel")
-    bench.add_argument("--fast-fraction", type=float, default=0.2)
+    bench.add_argument("--fast-fraction", type=_fraction, default=0.2)
     bench.add_argument(
         "--out-dir",
         default="bench-artifacts",
@@ -765,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tournament.add_argument(
         "--fast-fraction",
-        type=float,
+        type=_fraction,
         default=0.2,
         help="fast memory as a fraction of each model's peak",
     )
@@ -1081,6 +1093,7 @@ def _cmd_pressure(args) -> int:
 
 def _cmd_concurrent(args) -> int:
     from repro.harness.cluster import WorkloadSpec, run_concurrent
+    from repro.harness.runner import Scenario
     from repro.models.zoo import build_model
 
     policies = args.policies
@@ -1098,19 +1111,19 @@ def _cmd_concurrent(args) -> int:
         from repro.obs import EventTracer
 
         tracer = EventTracer()
-    specs = []
-    for index, (model, policy) in enumerate(zip(args.models, policies)):
-        spec_kwargs = {} if args.steps is None else {"steps": args.steps}
-        specs.append(
-            WorkloadSpec(
-                name=f"{model}-{index}", model=model, policy=policy, **spec_kwargs
-            )
+    graphs = {model: build_model(model) for model in args.models}
+    spec_kwargs = {} if args.steps is None else {"steps": args.steps}
+    specs = [
+        WorkloadSpec(
+            name=f"{model}-{index}", graph=graphs[model], policy=policy, **spec_kwargs
         )
-    combined_peak = sum(
-        build_model(model, scale="small").peak_memory_bytes()
-        for model in args.models
-    )
-    cap = max(args.platform.page_size, int(combined_peak * args.fast_fraction))
+        for index, (model, policy) in enumerate(zip(args.models, policies))
+    ]
+    # Size once, as a share of the combined peak, so the isolated runs get
+    # exactly the co-scheduled machine's fast capacity.
+    cap = Scenario(
+        platform=args.platform, fast_fraction=args.fast_fraction
+    ).fast_capacity_for(lambda: sum(spec.graph.peak_memory_bytes() for spec in specs))
     report = run_concurrent(
         specs, platform=args.platform, fast_capacity=cap, tracer=tracer
     )
@@ -1119,10 +1132,11 @@ def _cmd_concurrent(args) -> int:
         for model, policy in zip(args.models, policies):
             if model not in isolated:
                 isolated[model] = run_policy(
-                    policy, model=model, platform=args.platform, fast_capacity=cap
+                    policy, graph=graphs[model], platform=args.platform,
+                    fast_capacity=cap,
                 ).step_time
     rows = []
-    for spec, workload in zip(specs, report.workloads):
+    for model, workload in zip(args.models, report.workloads):
         row = [
             workload.name,
             workload.policy,
@@ -1131,7 +1145,7 @@ def _cmd_concurrent(args) -> int:
             f"{workload.steps_per_second:.3f}",
         ]
         if args.isolated:
-            iso = isolated[spec.model]
+            iso = isolated[model]
             row.append(
                 f"{workload.steady_step_time / iso:.2f}x" if iso > 0 else "-"
             )

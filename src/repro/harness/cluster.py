@@ -35,10 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.core.runtime import SentinelConfig, SentinelPolicy
+from repro.core.runtime import SentinelConfig
 from repro.dnn.executor import Executor, StepResult
 from repro.dnn.graph import Graph
-from repro.harness.runner import STEADY_STEPS, _sentinel_config, make_policy
+from repro.harness.runner import STEADY_STEPS, Scenario, build_policy
 from repro.mem.machine import Machine
 from repro.mem.platforms import Platform
 from repro.mem.pressure import PressureConfig
@@ -60,7 +60,7 @@ DEFAULT_CLUSTER_PRESSURE = PressureConfig.watermarks(low=0.85, high=0.95)
 _UNSET = object()
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkloadSpec:
     """One tenant of a concurrent run.
 
@@ -169,13 +169,6 @@ class ClusterReport:
         raise KeyError(f"no workload named {name!r}")
 
 
-def _total_steps(spec: WorkloadSpec, policy) -> int:
-    steps = spec.steps
-    if isinstance(policy, SentinelPolicy):
-        steps += policy.config.warmup_steps + 1
-    return steps
-
-
 def _drive(
     executor: Executor,
     steps: int,
@@ -244,14 +237,6 @@ def run_concurrent(
             f"workload names must be unique, got duplicates {duplicates!r} "
             f"in {names!r} — give each WorkloadSpec its own name"
         )
-    for spec in specs:
-        # WorkloadSpec is mutable; re-check here so a spec edited after
-        # construction still fails loudly instead of hanging the engine.
-        if spec.steps <= 0:
-            raise ValueError(
-                f"workload {spec.name!r}: steps must be positive, got "
-                f"{spec.steps!r}"
-            )
 
     graphs = [spec.build_graph() for spec in specs]
     for spec, graph in zip(specs, graphs):
@@ -262,26 +247,15 @@ def run_concurrent(
                 f"contain at least one layer)"
             )
     if machine is None:
-        if platform is None:
-            from repro.mem.platforms import OPTANE_HM
-
-            platform = OPTANE_HM
-        if fast_capacity is None and fast_fraction is not None:
-            if fast_fraction <= 0:
-                raise ValueError(
-                    f"fast fraction must be positive: {fast_fraction!r}"
-                )
-            combined_peak = sum(graph.peak_memory_bytes() for graph in graphs)
-            fast_capacity = max(
-                platform.page_size, int(combined_peak * fast_fraction)
-            )
-        config = DEFAULT_CLUSTER_PRESSURE if pressure is _UNSET else pressure
-        machine = Machine.for_platform(
-            platform,
+        machine, _ = Scenario(
+            platform=platform,
+            fast_fraction=fast_fraction,
             fast_capacity=fast_capacity,
-            tracer=tracer,
-            pressure=config,
-            metrics=metrics,
+            pressure=DEFAULT_CLUSTER_PRESSURE if pressure is _UNSET else pressure,
+        ).build(
+            lambda: sum(graph.peak_memory_bytes() for graph in graphs),
+            tracer,
+            metrics,
         )
     elif tracer is not None and machine.tracer is None:
         raise ValueError(
@@ -295,16 +269,14 @@ def run_concurrent(
     reports: List[WorkloadReport] = []
     start = engine.now
     for spec, graph in zip(specs, graphs):
-        policy = make_policy(
-            spec.policy, sentinel_config=_sentinel_config(spec.sentinel_config)
-        )
+        policy, warmup = build_policy(spec.policy, spec.sentinel_config)
         executor = Executor(
             graph, machine, policy, engine=engine, track=spec.name
         )
         report = WorkloadReport(name=spec.name, policy=spec.policy)
         reports.append(report)
         engine.process(
-            _drive(executor, _total_steps(spec, policy), report, machine.tracer),
+            _drive(executor, warmup + spec.steps, report, machine.tracer),
             name=spec.name,
         )
     engine.run()

@@ -26,6 +26,7 @@ from repro.harness.report import format_series, format_table, gib, mib
 from repro.harness.runner import (
     EXPERIMENT_WARMUP_STEPS,
     RunMetrics,
+    Scenario,
     max_batch_size,
     run_policy,
 )
@@ -1224,11 +1225,12 @@ def multi_tenant_contention(
     records: Dict[str, List[Dict[str, float]]] = {}
     labeled: List[Tuple[str, Tuple]] = []
     for policy in policies:
-        combined_peak = sum(
-            build_model(model, scale="small").peak_memory_bytes()
-            for model in models
+        cap = Scenario(fast_fraction=fast_fraction).fast_capacity_for(
+            lambda: sum(
+                build_model(model, scale="small").peak_memory_bytes()
+                for model in models
+            )
         )
-        cap = max(OPTANE_HM.page_size, int(combined_peak * fast_fraction))
         isolated = {
             model: run_policy(policy, model=model, fast_capacity=cap)
             for model in models

@@ -13,8 +13,9 @@ memory".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+import math
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.registry import make_policy
 from repro.baselines.vdnn import UnsupportedModelError
@@ -22,10 +23,11 @@ from repro.chaos import CapacityShrinker, ChaosConfig, FaultInjector, InvariantA
 from repro.core.runtime import SentinelConfig, SentinelPolicy
 from repro.dnn.executor import Executor
 from repro.dnn.graph import Graph
+from repro.dnn.policy import PlacementPolicy
 from repro.errors import MemoryPressureError
 from repro.mem.admission import make_admission
 from repro.mem.machine import Machine
-from repro.mem.platforms import Platform
+from repro.mem.platforms import OPTANE_HM, Platform
 from repro.mem.pressure import PressureConfig
 from repro.mem.ras import RASConfig
 from repro.models.zoo import build_model
@@ -72,10 +74,122 @@ class RunMetrics:
         return self.promoted_bytes + self.demoted_bytes
 
 
-def _sentinel_config(overrides: Optional[SentinelConfig]) -> SentinelConfig:
-    if overrides is not None:
-        return overrides
-    return SentinelConfig(warmup_steps=EXPERIMENT_WARMUP_STEPS)
+@dataclass(frozen=True)
+class Scenario:
+    """The machine an experiment runs on, as one frozen, picklable value.
+
+    Its fields are :func:`run_policy`'s machine keywords, and
+    :meth:`build` is the one place the harness turns them into a
+    :class:`~repro.mem.machine.Machine`.  Each entry point passes its own
+    *reference peak*, the footprint ``fast_fraction`` is a share of:
+    ``run_policy`` the graph's peak, ``run_concurrent`` the sum of its
+    workloads' peaks, ``Server`` the largest template peak times slots.
+    Every feature left at its default leaves the run byte-identical to a
+    machine built before the feature existed.
+
+    Attributes:
+        platform: the simulated platform (default :data:`OPTANE_HM`).
+        fast_fraction: fast-tier size as a share of the reference peak.
+        fast_capacity: fast-tier bytes; wins over ``fast_fraction``.
+            With neither, the platform's full fast tier.
+        chaos: attaches a seeded :class:`~repro.chaos.FaultInjector`.
+        pressure: attaches a :class:`~repro.mem.pressure.PressureGovernor`
+            (watermarks, spill-to-slow, arena compaction).
+        ras: attaches a :class:`~repro.mem.ras.RasEngine` (seeded CE/UE
+            injection, scrubbing, page retirement, tensor recovery).
+        admission: a migration admission controller: a registered name
+            (``"always"``, ``"benefit-cost"``, ``"feedback"``), built fresh
+            by every :meth:`build` because controllers are stateful, or an
+            :class:`~repro.mem.admission.AdmissionController` instance.
+            ``"always"`` leaves traces and metrics byte-identical to
+            ``None``.
+        admission_args: constructor kwargs for a named ``admission``.
+        audit: adds the per-step :class:`~repro.chaos.InvariantAuditor`,
+            which raises :class:`~repro.errors.ConsistencyError` the moment
+            memory accounting stops balancing.
+    """
+
+    platform: Optional[Platform] = None
+    fast_fraction: Optional[float] = None
+    fast_capacity: Optional[int] = None
+    chaos: Optional[ChaosConfig] = None
+    pressure: Optional[PressureConfig] = None
+    ras: Optional[RASConfig] = None
+    admission: Optional[object] = None
+    admission_args: Optional[Dict[str, object]] = None
+    audit: bool = False
+
+    def as_kwargs(self) -> Dict[str, object]:
+        """The scenario as :func:`run_policy` keyword arguments."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def fast_capacity_for(self, reference_peak: Callable[[], int]) -> Optional[int]:
+        """Fast-tier bytes: ``fast_capacity``, else ``fast_fraction`` of
+        ``reference_peak()`` (at least one page), else ``None`` (the
+        platform's full size).  ``reference_peak`` is only called when the
+        fraction is used.
+        """
+        if self.fast_capacity is not None or self.fast_fraction is None:
+            return self.fast_capacity
+        if not 0 < self.fast_fraction < math.inf:
+            raise ValueError(
+                f"fast fraction must be positive and finite: {self.fast_fraction!r}"
+            )
+        page_size = (self.platform or OPTANE_HM).page_size
+        return max(page_size, int(reference_peak() * self.fast_fraction))
+
+    def build(
+        self,
+        reference_peak: Callable[[], int],
+        tracer: Optional["EventTracer"] = None,
+        metrics: Optional["MetricsRegistry"] = None,
+        insight: Optional["InsightCollector"] = None,
+    ) -> Tuple[Machine, List[object]]:
+        """A fresh machine plus the executor observers the scenario asks
+        for (:class:`~repro.chaos.CapacityShrinker` when chaos shrinks
+        capacity, :class:`~repro.chaos.InvariantAuditor` with ``audit``).
+        """
+        fast_capacity = self.fast_capacity_for(reference_peak)
+        controller = self.admission
+        if isinstance(controller, str):
+            controller = make_admission(controller, **(self.admission_args or {}))
+        elif self.admission_args:
+            raise ValueError("admission_args= requires admission= to be a name")
+        injector = FaultInjector(self.chaos) if self.chaos is not None else None
+        machine = Machine.for_platform(
+            self.platform or OPTANE_HM,
+            fast_capacity=fast_capacity,
+            injector=injector,
+            tracer=tracer,
+            pressure=self.pressure,
+            metrics=metrics,
+            ras=self.ras,
+            insight=insight,
+            admission=controller,
+        )
+        observers: List[object] = []
+        if injector is not None and self.chaos.capacity_shrink_rate > 0.0:
+            observers.append(CapacityShrinker(machine, injector))
+        if self.audit:
+            observers.append(InvariantAuditor(machine))
+        return machine, observers
+
+
+def build_policy(
+    name: str, sentinel_config: Optional[SentinelConfig] = None
+) -> Tuple[PlacementPolicy, int]:
+    """A fresh policy and the steps it runs before its steady state.
+
+    Sentinel policies warm up (``warmup_steps``, default
+    :data:`EXPERIMENT_WARMUP_STEPS`) and then profile for one step; every
+    other policy is steady from its first step.
+    """
+    if sentinel_config is None:
+        sentinel_config = SentinelConfig(warmup_steps=EXPERIMENT_WARMUP_STEPS)
+    policy = make_policy(name, sentinel_config=sentinel_config)
+    if isinstance(policy, SentinelPolicy):
+        return policy, policy.config.warmup_steps + 1
+    return policy, 0
 
 
 def run_policy(
@@ -101,38 +215,22 @@ def run_policy(
 ) -> RunMetrics:
     """Run one policy on one workload and return steady-state metrics.
 
-    Exactly one of ``graph`` or ``model`` must be given.  Fast memory is
-    sized by ``fast_capacity`` (bytes), ``fast_fraction`` (of the graph's
-    peak packed consumption — the paper's convention), or left at the
-    platform's full size.
-
-    ``chaos`` attaches a seeded :class:`~repro.chaos.FaultInjector` to the
-    machine (deterministic fault injection; ``None`` leaves the fault-free
-    code paths untouched).  ``audit`` adds the per-step
-    :class:`~repro.chaos.InvariantAuditor`, which raises
-    :class:`~repro.errors.ConsistencyError` the moment memory accounting
-    stops balancing.
+    Exactly one of ``graph`` or ``model`` must be given.  The machine
+    keywords (``platform`` … ``admission_args``, ``chaos``, ``audit``) are
+    :class:`Scenario`'s fields, documented there; fast memory is sized as
+    a fraction of the graph's peak packed consumption (the paper's
+    convention).
 
     ``tracer`` attaches a :class:`repro.obs.EventTracer` to the machine so
     the whole run lands in a structured event trace; ``None`` (the default)
     keeps every traced code path dormant and the metrics bit-identical to
     untraced runs.
 
-    ``pressure`` attaches a :class:`~repro.mem.pressure.PressureGovernor`
-    (watermark admission control, spill-to-slow, arena compaction); the
-    default ``None`` — or a config with watermarks at 100% and no reserve —
-    leaves the run byte-identical to a governor-free machine.
-
     ``metrics`` attaches a :class:`repro.obs.metrics.MetricsRegistry` as
     the machine's stats registry, unlocking the detailed sampling sites
     (histograms, occupancy series) across the substrate; the default
     ``None`` keeps them dormant and the run byte-identical to un-metered
     builds.
-
-    ``ras`` attaches a :class:`~repro.mem.ras.RasEngine` (seeded CE/UE
-    injection, patrol scrubbing, page retirement, tensor recovery); the
-    default ``None`` — or a config with all rates zero — leaves the run
-    byte-identical to a pre-RAS machine.
 
     ``insight`` attaches a :class:`repro.obs.insight.InsightCollector`
     (per-tensor residency timelines, heat/churn analytics); the run
@@ -141,54 +239,26 @@ def run_policy(
     the run — including any attached tracer/metrics — byte-identical to an
     insight-free build.
 
-    ``admission`` attaches a migration admission controller to the
-    machine: either a registered name (``"always"``, ``"benefit-cost"``,
-    ``"feedback"``) built fresh per run with ``admission_args`` as
-    constructor kwargs, or an already-constructed
-    :class:`~repro.mem.admission.AdmissionController` instance.  The
-    default ``None`` keeps both engine gate sites dormant; ``"always"``
-    admits everything and leaves traces and metrics byte-identical to
-    ``None`` (admission counters land in extras only when a controller is
-    attached).
+    Extras gain the chaos, pressure, RAS and admission counters only when
+    that feature is attached, so a run without them stays bit-identical
+    to one predating it.
     """
     if (graph is None) == (model is None):
         raise ValueError("provide exactly one of graph= or model=")
     if graph is None:
         graph = build_model(model, batch_size=batch_size, scale=scale)
-    if platform is None:
-        from repro.mem.platforms import OPTANE_HM
-
-        platform = OPTANE_HM
-    if fast_capacity is None and fast_fraction is not None:
-        if not 0 < fast_fraction:
-            raise ValueError(f"fast fraction must be positive: {fast_fraction!r}")
-        fast_capacity = max(
-            platform.page_size, int(graph.peak_memory_bytes() * fast_fraction)
-        )
-    controller = admission
-    if isinstance(admission, str):
-        controller = make_admission(admission, **(admission_args or {}))
-    elif admission_args:
-        raise ValueError("admission_args= requires admission= to be a name")
-    injector = FaultInjector(chaos) if chaos is not None else None
-    machine = Machine.for_platform(
-        platform,
+    machine, observers = Scenario(
+        platform=platform,
+        fast_fraction=fast_fraction,
         fast_capacity=fast_capacity,
-        injector=injector,
-        tracer=tracer,
+        chaos=chaos,
         pressure=pressure,
-        metrics=metrics,
         ras=ras,
-        insight=insight,
-        admission=controller,
-    )
-
-    policy = make_policy(policy_name, sentinel_config=_sentinel_config(sentinel_config))
-    observers = []
-    if injector is not None and chaos.capacity_shrink_rate > 0.0:
-        observers.append(CapacityShrinker(machine, injector))
-    if audit:
-        observers.append(InvariantAuditor(machine))
+        admission=admission,
+        admission_args=admission_args,
+        audit=audit,
+    ).build(graph.peak_memory_bytes, tracer, metrics, insight)
+    policy, warmup = build_policy(policy_name, sentinel_config)
     insight_scope = None
     if insight is not None:
         insight_scope = insight.scope("main")
@@ -197,10 +267,7 @@ def run_policy(
         graph, machine, policy, observers=observers, tracer=insight_scope
     )
 
-    total_steps = steady_steps
-    if isinstance(policy, SentinelPolicy):
-        total_steps += policy.config.warmup_steps + 1
-    results = executor.run_steps(total_steps)
+    results = executor.run_steps(warmup + steady_steps)
     last = results[-1]
     if insight is not None:
         insight.finalize(executor.clock.now)
@@ -240,7 +307,7 @@ def run_policy(
             "migration.aborted_bytes"
         ).value
         extras["faults_dropped"] = machine.fault_handler.faults_dropped
-        for key, count in sorted(injector.counts.items()):
+        for key, count in sorted(machine.injector.counts.items()):
             extras[key] = count
     if machine.pressure is not None:
         # Only with an enabled governor: pressure-free runs keep metrics

@@ -10,7 +10,7 @@ and renders comparisons.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar,
 )
@@ -19,7 +19,7 @@ from repro import accel
 from repro.baselines.vdnn import UnsupportedModelError
 from repro.chaos import ChaosConfig
 from repro.harness.report import format_table
-from repro.harness.runner import OOM_ERRORS, RunMetrics, run_policy
+from repro.harness.runner import OOM_ERRORS, RunMetrics, Scenario, run_policy
 from repro.mem.platforms import OPTANE_HM, Platform
 from repro.mem.pressure import PressureConfig
 
@@ -181,16 +181,9 @@ class _PointSpec:
     policy: str
     model: str
     batch_size: Optional[int]
-    fast_fraction: Optional[float]
-    chaos: Optional[ChaosConfig]
-    platform: Platform
+    scenario: Scenario
     trace: bool
-    pressure: Optional[PressureConfig]
     insight: bool = False
-    #: admission controller name (built fresh in the running process —
-    #: controllers are stateful, so instances must never cross points).
-    admission: Optional[str] = None
-    admission_args: Optional[Dict[str, object]] = None
 
 
 def _enumerate_grid(
@@ -198,13 +191,9 @@ def _enumerate_grid(
     models: Sequence[str],
     fast_fractions: Sequence[Optional[float]],
     batch_sizes: Optional[Dict[str, int]],
-    platform: Platform,
-    chaos: Optional[ChaosConfig],
+    scenario: Scenario,
     trace: bool,
-    pressure: Optional[PressureConfig],
     insight: bool = False,
-    admission: Optional[str] = None,
-    admission_args: Optional[Dict[str, object]] = None,
 ) -> List[_PointSpec]:
     """The grid in serial order — a pure function of the sweep arguments.
 
@@ -212,6 +201,7 @@ def _enumerate_grid(
     :func:`point_seed`), so a spec fully determines its point's fault
     sequence before any process runs anything.
     """
+    chaos = scenario.chaos
     specs: List[_PointSpec] = []
     for model in models:
         batch = (batch_sizes or {}).get(model)
@@ -220,26 +210,15 @@ def _enumerate_grid(
                 effective = (
                     None if policy in ("slow-only", "fast-only") else fraction
                 )
-                point_chaos = chaos
+                point = replace(scenario, fast_fraction=effective)
                 if chaos is not None:
-                    point_chaos = chaos.reseeded(
-                        point_seed(chaos.seed, policy, model, batch, effective)
+                    point = replace(
+                        point,
+                        chaos=chaos.reseeded(
+                            point_seed(chaos.seed, policy, model, batch, effective)
+                        ),
                     )
-                specs.append(
-                    _PointSpec(
-                        policy=policy,
-                        model=model,
-                        batch_size=batch,
-                        fast_fraction=effective,
-                        chaos=point_chaos,
-                        platform=platform,
-                        trace=trace,
-                        pressure=pressure,
-                        insight=insight,
-                        admission=admission,
-                        admission_args=admission_args,
-                    )
-                )
+                specs.append(_PointSpec(policy, model, batch, point, trace, insight))
                 if policy in ("slow-only", "fast-only"):
                     break  # fraction-independent: one point suffices
     return specs
@@ -258,42 +237,30 @@ def _run_point(spec: _PointSpec) -> SweepPoint:
 
         collector = InsightCollector()
 
-    def captured() -> Optional[Tuple]:
-        return None if tracer is None else tuple(tracer.events)
+    def point(metrics=None, failure=None, insight=None) -> SweepPoint:
+        events = None if tracer is None else tuple(tracer.events)
+        return SweepPoint(
+            spec.policy, spec.model, spec.batch_size, spec.scenario.fast_fraction,
+            metrics, failure, events=events, insight=insight,
+        )
 
     try:
         metrics = run_policy(
             spec.policy,
             model=spec.model,
             batch_size=spec.batch_size,
-            platform=spec.platform,
-            fast_fraction=spec.fast_fraction,
-            chaos=spec.chaos,
             tracer=tracer,
-            pressure=spec.pressure,
             insight=collector,
-            admission=spec.admission,
-            admission_args=spec.admission_args,
-        )
-        report = None
-        if collector is not None:
-            report = collector.report(
-                meta={"policy": spec.policy, "model": spec.model}
-            )
-        return SweepPoint(
-            spec.policy, spec.model, spec.batch_size, spec.fast_fraction,
-            metrics, events=captured(), insight=report,
+            **spec.scenario.as_kwargs(),
         )
     except UnsupportedModelError:
-        return SweepPoint(
-            spec.policy, spec.model, spec.batch_size, spec.fast_fraction,
-            None, "unsupported", events=captured(),
-        )
+        return point(failure="unsupported")
     except OOM_ERRORS:
-        return SweepPoint(
-            spec.policy, spec.model, spec.batch_size, spec.fast_fraction,
-            None, "oom", events=captured(),
-        )
+        return point(failure="oom")
+    report = None
+    if collector is not None:
+        report = collector.report(meta={"policy": spec.policy, "model": spec.model})
+    return point(metrics, insight=report)
 
 
 def sweep(
@@ -352,9 +319,14 @@ def sweep(
         raise ValueError("need at least one policy and one model")
     if not fast_fractions:
         raise ValueError("need at least one fast fraction (use (None,) for default)")
+    scenario = Scenario(
+        platform=platform,
+        chaos=chaos,
+        pressure=pressure,
+        admission=admission,
+        admission_args=admission_args,
+    )
     specs = _enumerate_grid(
-        policies, models, fast_fractions, batch_sizes,
-        platform, chaos, trace, pressure, insight,
-        admission, admission_args,
+        policies, models, fast_fractions, batch_sizes, scenario, trace, insight
     )
     return SweepResult(points=pmap(_run_point, specs, workers))

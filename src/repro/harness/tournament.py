@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.vdnn import UnsupportedModelError
 from repro.harness.report import format_table
-from repro.harness.runner import OOM_ERRORS, run_policy
+from repro.harness.runner import OOM_ERRORS, Scenario, run_policy
 from repro.harness.sweeps import pmap
 from repro.mem.platforms import OPTANE_HM, Platform
 from repro.mem.pressure import PressureConfig
@@ -51,16 +51,13 @@ TOURNAMENT_PRESSURE = PressureConfig(
 class _CellSpec:
     """One tournament cell, picklable for the worker pool.
 
-    ``admission is None`` encodes the per-model ``fast-only`` baseline cell.
+    A scenario without ``admission`` is the per-model ``fast-only``
+    baseline cell; ``pressure`` is set exactly on governor-on cells.
     """
 
     model: str
     policy: str
-    admission: Optional[str]
-    admission_args: Optional[Dict[str, object]]
-    governor: bool
-    fast_fraction: Optional[float]
-    platform: Platform
+    scenario: Scenario
 
 
 def _enumerate_cells(
@@ -73,58 +70,40 @@ def _enumerate_cells(
     admission_args: Optional[Dict[str, Dict[str, object]]],
 ) -> List[_CellSpec]:
     """Baselines first, then the grid — a pure function of the inputs."""
-    specs: List[_CellSpec] = []
-    for model in models:
-        specs.append(
-            _CellSpec(
-                model=model,
-                policy="fast-only",
-                admission=None,
-                admission_args=None,
-                governor=False,
-                fast_fraction=None,
-                platform=platform,
-            )
-        )
+    specs = [
+        _CellSpec(model, "fast-only", Scenario(platform=platform))
+        for model in models
+    ]
     args = admission_args or {}
     for model in models:
         for policy in policies:
             for admission in admissions:
                 for governor in governors:
-                    specs.append(
-                        _CellSpec(
-                            model=model,
-                            policy=policy,
-                            admission=admission,
-                            admission_args=args.get(admission),
-                            governor=governor,
-                            fast_fraction=fast_fraction,
-                            platform=platform,
-                        )
+                    scenario = Scenario(
+                        platform=platform,
+                        fast_fraction=fast_fraction,
+                        pressure=TOURNAMENT_PRESSURE if governor else None,
+                        admission=admission,
+                        admission_args=args.get(admission),
                     )
+                    specs.append(_CellSpec(model, policy, scenario))
     return specs
 
 
 def _run_cell(spec: _CellSpec) -> Dict[str, object]:
     """Execute one cell; failures become recorded cells, not exceptions."""
+    scenario = spec.scenario
     cell: Dict[str, object] = {
         "model": spec.model,
         "policy": spec.policy,
-        "admission": spec.admission,
-        "governor": spec.governor,
-        "fast_fraction": spec.fast_fraction,
+        "admission": scenario.admission,
+        "governor": scenario.pressure is not None,
+        "fast_fraction": scenario.fast_fraction,
     }
     collector = InsightCollector()
     try:
         metrics = run_policy(
-            spec.policy,
-            model=spec.model,
-            platform=spec.platform,
-            fast_fraction=spec.fast_fraction,
-            pressure=TOURNAMENT_PRESSURE if spec.governor else None,
-            admission=spec.admission,
-            admission_args=spec.admission_args,
-            insight=collector,
+            spec.policy, model=spec.model, insight=collector, **scenario.as_kwargs()
         )
     except UnsupportedModelError:
         cell["failure"] = "unsupported"

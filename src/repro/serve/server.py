@@ -41,12 +41,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.chaos import EpisodeConfig, EpisodeDriver, generate_episodes
-from repro.core.runtime import SentinelPolicy
 from repro.dnn.executor import Executor
 from repro.dnn.graph import Graph
 from repro.errors import UncorrectableMemoryError
 from repro.harness.cluster import DEFAULT_CLUSTER_PRESSURE
-from repro.harness.runner import OOM_ERRORS, _sentinel_config, make_policy
+from repro.harness.runner import OOM_ERRORS, Scenario, build_policy
 from repro.mem.machine import Machine
 from repro.mem.platforms import Platform
 from repro.mem.ras import RASConfig
@@ -316,9 +315,10 @@ class Server:
             (:class:`~repro.serve.arrivals.PoissonArrivals` or
             :class:`~repro.serve.arrivals.TraceArrivals`).
         config: serving tunables (:class:`ServeConfig`).
-        machine: run on an existing machine; otherwise one is built from
-            ``platform`` (default Optane) with the cluster harness's
-            spill-to-slow pressure governor.
+        machine: run on an existing machine; otherwise one is built by
+            :meth:`~repro.harness.runner.Scenario.build` from ``platform``
+            (default Optane) with the cluster harness's spill-to-slow
+            pressure governor.
         fast_fraction: size fast memory as this fraction of (largest
             template peak × slots) — the footprint of a full complement of
             the biggest jobs.  ``fast_capacity`` (bytes) wins over it.
@@ -336,13 +336,11 @@ class Server:
             expired jobs, which never touched the machine but did miss
             their SLO.  The server finalizes the collector at the end of
             :meth:`run`.
-        migration_admission: optional *migration* admission controller for
-            the built machine — either an
-            :class:`~repro.mem.admission.AdmissionController` instance or
-            a registered controller name (see
-            :data:`repro.mem.admission.CONTROLLERS`), built with
-            ``migration_admission_args``.  Distinct from ``config.admission``,
-            which decides which *jobs* enter the queue; this decides which
+        migration_admission / migration_admission_args: the built
+            machine's *migration* admission controller, as
+            :class:`~repro.harness.runner.Scenario`'s ``admission`` /
+            ``admission_args``.  Distinct from ``config.admission``, which
+            decides which *jobs* enter the queue; this decides which
             *tensor migrations* the machine performs.
     """
 
@@ -375,42 +373,21 @@ class Server:
             name: t.build_graph() for name, t in templates.items()
         }
         if machine is None:
-            if platform is None:
-                from repro.mem.platforms import OPTANE_HM
-
-                platform = OPTANE_HM
-            if fast_capacity is None and fast_fraction is not None:
-                if fast_fraction <= 0:
-                    raise ValueError(
-                        f"fast fraction must be positive: {fast_fraction!r}"
-                    )
-                peaks = [g.peak_memory_bytes() for g in self._graphs.values()]
-                reference = max(peaks) * config.slots if peaks else 0
-                fast_capacity = max(
-                    platform.page_size, int(reference * fast_fraction)
-                )
-            governor = DEFAULT_CLUSTER_PRESSURE if pressure is _UNSET else pressure
-            controller = migration_admission
-            if isinstance(migration_admission, str):
-                from repro.mem.admission import make_admission as make_migration
-
-                controller = make_migration(
-                    migration_admission, **(migration_admission_args or {})
-                )
-            elif migration_admission_args:
-                raise ValueError(
-                    "migration_admission_args= requires migration_admission= "
-                    "to be a controller name"
-                )
-            machine = Machine.for_platform(
-                platform,
+            machine, _ = Scenario(
+                platform=platform,
+                fast_fraction=fast_fraction,
                 fast_capacity=fast_capacity,
-                tracer=tracer,
-                pressure=governor,
-                metrics=metrics,
+                pressure=DEFAULT_CLUSTER_PRESSURE if pressure is _UNSET else pressure,
                 ras=ras,
-                insight=insight,
-                admission=controller,
+                admission=migration_admission,
+                admission_args=migration_admission_args,
+            ).build(
+                lambda: config.slots * max(
+                    (g.peak_memory_bytes() for g in self._graphs.values()), default=0
+                ),
+                tracer,
+                metrics,
+                insight,
             )
         else:
             if tracer is not None and machine.tracer is None:
@@ -587,15 +564,10 @@ class Server:
     def _dispatch(self, job: Job) -> None:
         now = self.engine.now
         template = job.template
-        policy = make_policy(template.policy, sentinel_config=_sentinel_config(None))
         # A restart re-runs the policy's warm-up/profiling phase (the fresh
         # policy has no profile) but resumes steady work at the checkpoint:
         # completed steady steps are never executed twice.
-        phase = (
-            policy.config.warmup_steps + 1
-            if isinstance(policy, SentinelPolicy)
-            else 0
-        )
+        policy, phase = build_policy(template.policy)
         remaining = template.steps - job.completed_steady
         insight_scope = None
         observers = ()

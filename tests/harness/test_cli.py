@@ -35,6 +35,37 @@ class TestParser:
         assert "argument --workers" in capsys.readouterr().err
         assert build_parser().parse_args([command, "--workers", "3"]).workers == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "dcgan", "sentinel", "--fast-fraction"],
+            ["compare", "dcgan", "--fast-fraction"],
+            ["sweep", "dcgan", "--fractions"],
+            ["chaos", "dcgan", "--fast-fraction"],
+            ["grid", "--fast-fraction"],
+            ["pressure", "--fractions"],
+            ["concurrent", "dcgan", "lstm", "--fast-fraction"],
+            ["serve", "--fast-fraction"],
+            ["trace", "dcgan", "sentinel", "--fast-fraction"],
+            ["critpath", "dcgan", "sentinel", "--fast-fraction"],
+            ["insight", "dcgan", "sentinel", "--fast-fraction"],
+            ["bench", "--fast-fraction"],
+            ["tournament", "--fast-fraction"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf"])
+    def test_fractions_of_peak_must_be_positive_and_finite(self, argv, value, capsys):
+        flag = argv[-1]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv[:-1] + [f"{flag}={value}"])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be positive and finite" in capsys.readouterr().err
+        assert getattr(
+            build_parser().parse_args(argv[:-1] + [flag, "0.25"]),
+            flag.lstrip("-").replace("-", "_"),
+        ) in (0.25, [0.25])
+
     def test_run_kwargs_come_from_flags(self):
         import inspect
 

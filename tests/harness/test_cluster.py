@@ -11,6 +11,8 @@ The cluster harness's claims, each pinned here:
 * spec and argument validation fails fast with actionable messages.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.chaos import ChaosConfig, FaultInjector
@@ -199,10 +201,10 @@ class TestValidation:
             run_concurrent(specs)
 
     def test_steps_mutated_after_construction_still_rejected(self):
+        # Specs are frozen, so the constructor's check is the only one needed.
         spec = WorkloadSpec(name="w", model="dcgan")
-        spec.steps = 0
-        with pytest.raises(ValueError, match="steps must be positive"):
-            run_concurrent([spec])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.steps = 0
 
     def test_empty_graph_rejected(self):
         # GraphBuilder.finish() refuses empty graphs, so a hand-built Graph
@@ -299,6 +301,32 @@ class TestConcurrentCLI:
         )
         assert "trace:" in capsys.readouterr().out
         assert validate_chrome(json.loads(path.read_text())) > 0
+
+    def test_zero_fast_fraction_is_a_usage_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["concurrent", "dcgan", "lstm", "--fast-fraction", "0"])
+        assert exit_info.value.code == 2
+        assert "argument --fast-fraction" in capsys.readouterr().err
+
+    def test_each_model_graph_is_built_once(self, monkeypatch, capsys):
+        import repro.harness.cluster
+        import repro.harness.runner
+        import repro.models.zoo
+        from repro.cli import main
+
+        built = []
+
+        def counting(name, *args, **kwargs):
+            built.append(name)
+            return build_model(name, *args, **kwargs)
+
+        for module in (repro.models.zoo, repro.harness.runner, repro.harness.cluster):
+            monkeypatch.setattr(module, "build_model", counting)
+        argv = ["concurrent", "dcgan", "lstm", "--policies", "ial", "--steps", "1"]
+        assert main(argv + ["--isolated"]) == 0
+        assert sorted(built) == ["dcgan", "lstm"]
 
     def test_policy_count_mismatch_is_a_usage_error(self, capsys):
         from repro.cli import main

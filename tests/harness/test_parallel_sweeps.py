@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import ChaosConfig
+from repro.harness.runner import Scenario
 from repro.harness.sweeps import (
     SweepPoint,
     _enumerate_grid,
@@ -117,11 +118,11 @@ class TestGridEnumeration:
     def test_specs_are_indexed_in_serial_order(self):
         specs = _enumerate_grid(
             ("sentinel", "slow-only"), ("dcgan", "lstm"), (0.2, 0.4),
-            None, OPTANE_HM, None, False, None,
+            None, Scenario(platform=OPTANE_HM), False,
         )
         # Models outermost, then policies, then fractions; slow-only is
         # fraction-independent, so it gets one point per model.
-        assert [(s.model, s.policy, s.fast_fraction) for s in specs] == [
+        assert [(s.model, s.policy, s.scenario.fast_fraction) for s in specs] == [
             ("dcgan", "sentinel", 0.2),
             ("dcgan", "sentinel", 0.4),
             ("dcgan", "slow-only", None),
@@ -133,7 +134,7 @@ class TestGridEnumeration:
     def test_run_point_matches_sweep_point(self):
         specs = _enumerate_grid(
             ("slow-only",), ("dcgan",), (0.2,),
-            None, OPTANE_HM, None, False, None,
+            None, Scenario(platform=OPTANE_HM), False,
         )
         point = _run_point(specs[0])
         grid = sweep(("slow-only",), ("dcgan",))

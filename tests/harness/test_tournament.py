@@ -110,20 +110,24 @@ class TestEnumeration:
             ("lstm", "fast-only"),
         ]
         # Then models, policies, admissions, governors, innermost last.
-        assert [(s.model, s.admission, s.governor) for s in specs[2:]] == [
+        assert [
+            (s.model, s.scenario.admission, s.scenario.pressure is not None)
+            for s in specs[2:]
+        ] == [
             (model, admission, governor)
             for model in ("dcgan", "lstm")
             for admission in ("always", "feedback")
             for governor in (False, True)
         ]
-        assert all(s.admission is None for s in specs[:2])
+        assert all(s.scenario.admission is None for s in specs[:2])
+        assert all(s.scenario.fast_fraction is None for s in specs[:2])
 
     def test_admission_args_reach_only_their_controller(self):
         specs = _enumerate_cells(
             ("dcgan",), ("sentinel",), ("always", "feedback"), (False,),
             0.2, OPTANE_HM, {"feedback": {"stall_target": 0.02}},
         )
-        by_admission = {s.admission: s for s in specs if s.admission}
+        by_admission = {s.scenario.admission: s.scenario for s in specs[1:]}
         assert by_admission["feedback"].admission_args == {"stall_target": 0.02}
         assert by_admission["always"].admission_args is None
 
