@@ -716,28 +716,28 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--wallclock",
         action="store_true",
-        help="also measure wall-clock throughput (vectorized vs scalar) and "
-        "write BENCH_wallclock.json",
+        help="also measure per-model calls per simulated step and wall-clock "
+        "throughput, and write BENCH_wallclock.json",
     )
     bench.add_argument(
         "--wallclock-baseline",
         metavar="PATH",
         default=None,
-        help="committed BENCH_wallclock.json to gate the vectorized speedup "
+        help="committed BENCH_wallclock.json to gate calls per simulated step "
         "against; written on first run when missing",
     )
     bench.add_argument(
         "--band",
         type=float,
-        default=0.25,
-        help="tolerance band for the wallclock gate: fail when the speedup "
-        "falls more than this fraction below baseline (0.25 = 25%%)",
+        default=0.05,
+        help="tolerance band for the wallclock gate: fail when calls per step "
+        "grow more than this fraction above baseline (0.05 = 5%%)",
     )
     bench.add_argument(
         "--repeats",
         type=int,
         default=None,
-        help="wall-clock repeats per (model, path) measurement",
+        help="timed wall-clock runs per model",
     )
 
     from repro.mem.admission import CONTROLLERS
@@ -1541,17 +1541,16 @@ def _cmd_bench(args) -> int:
     rows = [
         (
             model,
+            f"{entry['calls_per_step']:,.1f}",
             f"{entry['steps_per_sec']:.1f}",
-            f"{entry['scalar_steps_per_sec']:.1f}",
-            f"{entry['speedup_vs_scalar']:.2f}x",
         )
         for model, entry in sorted(wallclock["models"].items())
     ]
     print(
         format_table(
-            ("model", "steps/s", "scalar steps/s", "speedup"),
+            ("model", "calls/step", "steps/s"),
             rows,
-            title="wall-clock throughput (simulated steps per second)",
+            title="work (repro calls per simulated step) and wall-clock throughput",
         )
     )
     print(f"artifact: {out_dir / 'BENCH_wallclock.json'}")
@@ -1572,7 +1571,7 @@ def _cmd_bench(args) -> int:
             print(f"WALLCLOCK REGRESSION: {problem}", file=sys.stderr)
         return 1
     print(
-        f"wallclock gate passed: every model's vectorized speedup within "
+        f"wallclock gate passed: every model's calls per step within "
         f"{args.band:.0%} of {wc_baseline_path}"
     )
     return status

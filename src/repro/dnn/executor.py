@@ -27,17 +27,12 @@ Execution model
 
 The step body lives in :meth:`Executor.step_process`, a generator that
 yields every interval the simulated clock must advance through (op
-execution, policy stalls).  Two drivers consume it:
-
-* the **engine driver** (the default): :meth:`Executor.run_step` spawns the
-  generator as a :class:`repro.sim.engine.Process` on a discrete-event
-  engine shared with the machine, so channel completions, migration
-  commits, and — in cluster mode — *other workloads* interleave with this
-  step at their true simulated instants;
-* the **inline driver** (:meth:`Executor._run_step_inline`): advances the
-  clock directly per yield with no engine, reproducing the original
-  lockstep loop.  The differential suite pins both drivers to identical
-  per-step times, traffic, and trace digests.
+execution, policy stalls).  :meth:`Executor.run_step` spawns the generator
+as a :class:`repro.sim.engine.Process` on a discrete-event engine shared
+with the machine, so channel completions, migration commits, and — in
+cluster mode — *other workloads* interleave with this step at their true
+simulated instants.  The golden corpus (``tests/golden/corpus.json``)
+pins per-run metrics and trace digests across the zoo.
 
 ``run_step()``/``run_steps()`` remain the public API (they now drive the
 engine internally — see the migration note in docs/API.md); new code that
@@ -52,7 +47,6 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import accel
 from repro.dnn.alloc import Allocator, TensorMapping
 from repro.dnn.graph import Graph, Layer
 from repro.dnn.ops import Op
@@ -204,16 +198,16 @@ class Executor:
         self._preallocate()
 
     def _build_op_tables(self) -> None:
-        """Per-op static accounting tables for the vectorized step path.
+        """Per-op static accounting tables for the step body.
 
         The graph and platform are fixed for the executor's lifetime, so
-        per-op compute times (``flops / throughput``) can be batch-computed
-        up front — one numpy elementwise division produces the identical
-        IEEE-754 quotients the scalar loop derives per op — and each op's
-        non-preallocated operands (the only ones ``_ensure_allocated`` can
-        ever act on) can be filtered once instead of per access per step.
-        ``tolist()`` hands back native floats so downstream times, trace
-        values, and goldens keep their exact historical representations.
+        per-op compute times (``flops / throughput``) are batch-computed up
+        front — one numpy elementwise division, the same IEEE-754 quotient
+        per op as a scalar division — and each op's non-preallocated
+        operands (the only ones a step allocates) are filtered once instead
+        of per access per step.  ``tolist()`` hands back native floats so
+        downstream times, trace values, and goldens keep their exact
+        historical representations.
         """
         ops = [op for layer in self.graph.layers for op in layer.ops]
         throughput = self.machine.platform.compute_throughput
@@ -250,9 +244,9 @@ class Executor:
         """One training step as an engine process.
 
         Yields the intervals the clock must advance through (op execution
-        times and policy stalls); the driver — engine or inline — performs
-        the advance, so the body never touches the clock directly.  The
-        generator's return value is the step's :class:`StepResult`.
+        times and policy stalls); the engine performs the advance, so the
+        body never touches the clock directly.  The generator's return
+        value is the step's :class:`StepResult`.
         """
         step = self._steps_run
         clock = self.clock
@@ -268,10 +262,8 @@ class Executor:
 
         result = StepResult(step=step, start_time=clock.now, end_time=clock.now)
         events = self._events
-        # Vectorized-path bindings: precomputed per-op tables plus the
-        # allocator's live mapping dict, hoisted out of the op loop.  The
-        # scalar reference path below re-derives everything per op/access.
-        vectorized = accel.vectorized_enabled()
+        # Precomputed per-op tables plus the allocator's live mapping dict,
+        # hoisted out of the op loop.
         op_compute_times = self._op_compute_times
         op_step_tensors = self._op_step_tensors
         mapping_of = allocator.mapping_table().get
@@ -308,19 +300,13 @@ class Executor:
             layer_stall += stall
 
             for op in layer.ops:
-                if vectorized:
-                    for tensor in op_step_tensors[op_index]:
-                        if mapping_of(tensor.tid) is None:
-                            mapping = allocator.alloc(tensor, clock.now)
-                            policy.on_alloc(tensor, mapping, clock.now)
-                            for observer in self.observers:
-                                observer.on_tensor_allocated(
-                                    tensor, mapping, clock.now
-                                )
-                    compute_time = op_compute_times[op_index]
-                else:
-                    self._ensure_allocated(op, clock.now)
-                    compute_time = op.flops / machine.platform.compute_throughput
+                for tensor in op_step_tensors[op_index]:
+                    if mapping_of(tensor.tid) is None:
+                        mapping = allocator.alloc(tensor, clock.now)
+                        policy.on_alloc(tensor, mapping, clock.now)
+                        for observer in self.observers:
+                            observer.on_tensor_allocated(tensor, mapping, clock.now)
+                compute_time = op_compute_times[op_index]
                 op_index += 1
                 mem_time = 0.0
                 stall_time = 0.0
@@ -467,8 +453,7 @@ class Executor:
         Compatibility shim over the event engine: the step body runs as an
         engine process, interleaved with channel-completion events, and
         events scheduled beyond the step's end (transfers still in flight)
-        stay queued for the next step.  Times are byte-identical to the
-        historical lockstep loop — the differential suite pins this.
+        stay queued for the next step.
         """
         engine = self._ensure_engine()
         proc = engine.process(
@@ -480,22 +465,6 @@ class Executor:
         if count <= 0:
             raise ValueError(f"step count must be positive, got {count!r}")
         return [self.run_step() for _ in range(count)]
-
-    def _run_step_inline(self) -> StepResult:
-        """Drive one step with direct clock advances and no engine.
-
-        This is the original lockstep loop, kept as the reference
-        implementation for the engine-vs-inline differential suite.  It
-        must not be mixed with engine-driven steps on the same machine.
-        """
-        gen = self.step_process()
-        try:
-            delay = next(gen)
-            while True:
-                self.clock.advance(delay)
-                delay = gen.send(None)
-        except StopIteration as stop:
-            return stop.value
 
     def teardown(self) -> None:
         """Release every page this executor's allocator still maps.
@@ -525,17 +494,6 @@ class Executor:
         if stall:
             result.stall_time += stall
             yield stall
-
-    def _ensure_allocated(self, op, now: float) -> None:
-        for access in op.accesses:
-            tensor = access.tensor
-            if tensor.preallocated:
-                continue
-            if self.allocator.mapping(tensor) is None:
-                mapping = self.allocator.alloc(tensor, now)
-                self.policy.on_alloc(tensor, mapping, now)
-                for observer in self.observers:
-                    observer.on_tensor_allocated(tensor, mapping, now)
 
     def _free_layer_tensors(self, layer: Layer) -> None:
         now = self.clock.now

@@ -22,9 +22,8 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro import accel
 from repro.harness.runner import (
     EXPERIMENT_WARMUP_STEPS,
     STEADY_STEPS,
@@ -181,19 +180,24 @@ def check_regression(
 # --------------------------------------------------------------- wall clock
 #
 # Unlike the simulated-time artifacts above, wall-clock throughput depends
-# on the machine running the benchmark.  The gated quantity is therefore
-# the *ratio* of vectorized to scalar throughput on the same machine in the
-# same process (``speedup_vs_scalar``) — machine speed divides out — while
-# the raw steps/sec figures are recorded for trend reading only.
+# on the machine running the benchmark.  The gated quantity is therefore a
+# work count instead: Python function calls into ``repro`` per simulated
+# step, counted by cProfile.  Builtins and the standard library are left
+# out, so the count depends on neither machine speed nor interpreter
+# internals, and it repeats exactly from process to process.  Steps/sec is
+# recorded for trend reading only.
 
 #: Schema version for ``BENCH_wallclock.json``.
-WALLCLOCK_SCHEMA = 1
+WALLCLOCK_SCHEMA = 2
 
-#: Repeats per (model, path) measurement; the slowest ``WALLCLOCK_TRIM``
+#: Repeats per model for the timed runs; the slowest ``WALLCLOCK_TRIM``
 #: are dropped before taking the median, which discards GC pauses and
 #: CI-runner noise spikes without rewarding lucky fast outliers.
 WALLCLOCK_REPEATS = 5
 WALLCLOCK_TRIM = 1
+
+#: Directory whose functions count towards ``calls_per_step``.
+_PACKAGE_DIR = str(Path(__file__).resolve().parents[1])
 
 
 def _trimmed_median(samples: Sequence[float], trim: int) -> float:
@@ -219,26 +223,22 @@ def _simulated_steps(policy: str, steady_steps: int) -> int:
     return total
 
 
-def _measure_steps_per_sec(
-    model: str,
-    policy: str,
-    fast_fraction: float,
-    steady_steps: int,
-    repeats: int,
-    trim: int,
-) -> float:
-    steps = _simulated_steps(policy, steady_steps)
-    seconds: List[float] = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run_policy(
-            policy,
-            model=model,
-            fast_fraction=fast_fraction,
-            steady_steps=steady_steps,
-        )
-        seconds.append(time.perf_counter() - start)
-    return steps / _trimmed_median(seconds, trim)
+def _package_calls(run: Callable[[], object]) -> int:
+    """Calls to functions defined under ``src/repro`` while ``run`` runs."""
+    import cProfile
+    import os
+    import pstats
+
+    profiler = cProfile.Profile()
+    profiler.runcall(run)
+    prefix = _PACKAGE_DIR + os.sep
+    return sum(
+        total_calls
+        for (filename, _, _), (_, total_calls, _, _, _) in pstats.Stats(
+            profiler
+        ).stats.items()
+        if os.path.abspath(filename).startswith(prefix)
+    )
 
 
 def wallclock_benchmark(
@@ -249,13 +249,13 @@ def wallclock_benchmark(
     repeats: int = WALLCLOCK_REPEATS,
     trim: int = WALLCLOCK_TRIM,
 ) -> Dict:
-    """Measure wall-clock throughput (simulated steps per second).
+    """Measure per-model work and wall-clock throughput.
 
-    Each model is measured ``repeats`` times on both accounting paths;
-    each measurement's slow tail is trimmed and the median taken.  The
-    per-model ``speedup_vs_scalar`` ratio is the CI-gated quantity; the
-    absolute steps/sec figures are machine-dependent context.  The
-    caller's scalar/vectorized flag is restored on exit.
+    Each model runs ``repeats`` timed times; the slow tail is trimmed and
+    the median gives ``steps_per_sec``, which is machine-dependent context.
+    One further run under cProfile gives ``calls_per_step``, the CI-gated
+    quantity: calls to functions defined in the ``repro`` package per
+    simulated step.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats!r}")
@@ -268,38 +268,40 @@ def wallclock_benchmark(
         "trim": trim,
         "models": {},
     }
-    was_scalar = accel.scalar_enabled()
-    try:
-        for model in models:
-            accel.set_scalar_path(False)
-            vec = _measure_steps_per_sec(
-                model, policy, fast_fraction, steady_steps, repeats, trim
+    steps = _simulated_steps(policy, steady_steps)
+    for model in models:
+
+        def run() -> None:
+            run_policy(
+                policy,
+                model=model,
+                fast_fraction=fast_fraction,
+                steady_steps=steady_steps,
             )
-            accel.set_scalar_path(True)
-            scalar = _measure_steps_per_sec(
-                model, policy, fast_fraction, steady_steps, repeats, trim
-            )
-            out["models"][model] = {
-                "steps_per_sec": round(vec, 3),
-                "scalar_steps_per_sec": round(scalar, 3),
-                "speedup_vs_scalar": round(vec / scalar, 4),
-            }
-    finally:
-        accel.set_scalar_path(was_scalar)
+
+        seconds: List[float] = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            run()
+            seconds.append(time.perf_counter() - start)
+        out["models"][model] = {
+            "calls_per_step": round(_package_calls(run) / steps, 1),
+            "steps_per_sec": round(steps / _trimmed_median(seconds, trim), 3),
+        }
     return out
 
 
 def check_wallclock_regression(
-    baseline: Dict, current: Dict, band: float = 0.25
+    baseline: Dict, current: Dict, band: float = 0.05
 ) -> List[str]:
-    """Gate the vectorized-vs-scalar speedup within a tolerance band.
+    """Gate ``calls_per_step`` against the committed baseline.
 
-    A model fails when its current ``speedup_vs_scalar`` falls more than
-    ``band`` (relative) below the committed baseline's — i.e. the
-    vectorized path lost its edge over the scalar reference.  The band is
-    deliberately wide: the ratio cancels machine speed but not all
-    scheduling noise.  Absolute steps/sec is never gated (different CI
-    hardware would fail spuriously); speedups above baseline always pass.
+    A model fails when its current ``calls_per_step`` exceeds the
+    baseline's by more than ``band`` (relative).  The count is
+    deterministic for a given tree, so the band only has to absorb
+    interpreter-version differences; fewer calls always pass.
+    ``steps_per_sec`` is never gated (different CI hardware would fail
+    spuriously).
     """
     if band < 0.0:
         raise ValueError(f"band must be non-negative, got {band!r}")
@@ -310,14 +312,12 @@ def check_wallclock_regression(
         if model not in cur_models:
             problems.append(f"{model}: missing from current wallclock run")
             continue
-        base = base_models[model]["speedup_vs_scalar"]
-        cur = cur_models[model]["speedup_vs_scalar"]
-        if base <= 0.0:
-            continue
-        if cur < base * (1.0 - band):
+        base = base_models[model]["calls_per_step"]
+        cur = cur_models[model]["calls_per_step"]
+        if base > 0 and cur > base * (1.0 + band):
             problems.append(
-                f"{model}: vectorized speedup fell {100.0 * (base - cur) / base:.1f}% "
-                f"below baseline ({base:.2f}x -> {cur:.2f}x, band {band * 100.0:.0f}%)"
+                f"{model}: calls per step grew {100.0 * (cur - base) / base:.1f}% "
+                f"over baseline ({base:,.1f} -> {cur:,.1f}, band {band * 100.0:.0f}%)"
             )
     for model in sorted(cur_models):
         if model not in base_models:

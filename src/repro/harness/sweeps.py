@@ -15,7 +15,6 @@ from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar,
 )
 
-from repro import accel
 from repro.baselines.vdnn import UnsupportedModelError
 from repro.chaos import ChaosConfig
 from repro.harness.report import format_table
@@ -49,8 +48,6 @@ def pmap(func: Callable[[_T], _R], items: Iterable[_T], workers: int = 1) -> Lis
     * results come back in input order, whichever worker finishes first,
       so a pooled run is byte-identical to a serial one as long as every
       item is an isolated, self-seeded simulation;
-    * each worker mirrors the parent's :mod:`repro.accel` scalar/vectorized
-      flag (process-global state that a spawned worker would not inherit);
     * ``workers == 1`` (or at most one item) runs inline and never imports
       :mod:`multiprocessing`.
 
@@ -65,11 +62,7 @@ def pmap(func: Callable[[_T], _R], items: Iterable[_T], workers: int = 1) -> Lis
     import multiprocessing
 
     ctx = multiprocessing.get_context()
-    with ctx.Pool(
-        processes=min(workers, len(items)),
-        initializer=accel.set_scalar_path,
-        initargs=(accel.scalar_enabled(),),
-    ) as pool:
+    with ctx.Pool(processes=min(workers, len(items))) as pool:
         return list(pool.imap(func, items))
 
 

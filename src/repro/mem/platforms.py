@@ -162,7 +162,7 @@ CXL_HM = Platform(
 )
 
 
-#: A100-class accelerator: more device memory, faster HBM, PCIe 4.0 link.
+#: A100-class GPU: more device memory, faster HBM, PCIe 4.0 link.
 #: Used to check that the GPU results generalize beyond the paper's V100.
 GPU_A100_HM = Platform(
     name="gpu-a100-hm",

@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.core.interval import partition_layers
 from repro.core.profile import Profile, TensorProfile
+from repro.core.profiler import DynamicProfiler
+from repro.mem.platforms import OPTANE_HM
+from repro.models import build_model
+from repro.models.zoo import MODELS
 
 
 def record(tid, nbytes=1000, alloc=0, free=0, touches=None, preallocated=False):
@@ -98,3 +103,65 @@ class TestProfileQueries:
     def test_interval_fast_time(self):
         profile = make_profile([], num_layers=4)
         assert profile.interval_fast_time([0, 1]) == pytest.approx(0.2)
+
+
+class TestTouchQueryBoundaries:
+    """``next_touch_after``/``touched_in`` bisect a sorted touch tuple:
+    pin the first layer, the last layer and queries past the end."""
+
+    def test_next_touch_after_boundaries(self):
+        r = record(0, touches={0: 1, 4: 1, 7: 1})
+        assert r.next_touch_after(-1) == 0  # first layer
+        assert r.next_touch_after(0) == 4
+        assert r.next_touch_after(6) == 7  # last layer
+        assert r.next_touch_after(7) is None
+        assert r.next_touch_after(100) is None  # past the end
+
+    def test_touched_in_boundaries(self):
+        r = record(0, touches={0: 1, 4: 1, 7: 1})
+        assert r.touched_in(0, 0)  # first layer alone
+        assert r.touched_in(7, 7)  # last layer alone
+        assert r.touched_in(-5, 0)
+        assert r.touched_in(7, 100)
+        assert not r.touched_in(1, 3)
+        assert not r.touched_in(8, 100)  # past the end
+        assert not r.touched_in(-5, -1)
+
+    def test_untouched_tensor(self):
+        r = record(0, touches={})
+        assert r.next_touch_after(-1) is None
+        assert not r.touched_in(0, 100)
+
+
+@pytest.fixture(scope="module", params=sorted(MODELS))
+def zoo_profile(request):
+    graph = build_model(request.param)
+    return DynamicProfiler(OPTANE_HM).run(graph).profile
+
+
+class TestPlanIndexMatchesScans:
+    """:class:`PlanIndex` answers every interval of a candidate MIL at once;
+    the per-interval scans on :class:`Profile` are its reference."""
+
+    def test_interval_rs(self, zoo_profile):
+        index = zoo_profile.plan_index()
+        for length in range(1, zoo_profile.num_layers + 1):
+            assert index.interval_rs(length) == zoo_profile.rs(length)
+
+    def test_interval_tensor_bytes(self, zoo_profile):
+        index = zoo_profile.plan_index()
+        for length in range(1, zoo_profile.num_layers + 1):
+            intervals = partition_layers(zoo_profile.num_layers, length)
+            assert index.interval_tensor_bytes(length) == [
+                zoo_profile.long_lived_bytes_touched_in(interval[0], interval[-1])
+                for interval in intervals
+            ]
+
+    def test_interval_fast_times(self, zoo_profile):
+        # evaluate_interval_length slices layer_fast_times; the slice sums
+        # must equal interval_fast_time exactly, not approximately.
+        times = zoo_profile.layer_fast_times
+        for length in range(1, zoo_profile.num_layers + 1):
+            for interval in partition_layers(zoo_profile.num_layers, length):
+                sliced = sum(times[interval[0] : interval[-1] + 1])
+                assert sliced == zoo_profile.interval_fast_time(interval)

@@ -129,39 +129,64 @@ class TestWallclock:
             _trimmed_median([], trim=1)
 
     def test_wallclock_payload_shape(self):
-        from repro import accel
         from repro.harness.bench import WALLCLOCK_SCHEMA, wallclock_benchmark
 
-        before = accel.scalar_enabled()
         payload = wallclock_benchmark(models=("dcgan",), repeats=1, trim=0)
-        assert accel.scalar_enabled() == before  # flag restored
         assert payload["schema"] == WALLCLOCK_SCHEMA
         entry = payload["models"]["dcgan"]
+        assert set(entry) == {"calls_per_step", "steps_per_sec"}
         assert entry["steps_per_sec"] > 0.0
-        assert entry["scalar_steps_per_sec"] > 0.0
-        assert entry["speedup_vs_scalar"] > 0.0
+        assert entry["calls_per_step"] > 0.0
+
+    def test_calls_per_step_is_deterministic(self):
+        from repro.harness.bench import wallclock_benchmark
+
+        def calls():
+            payload = wallclock_benchmark(models=("dcgan",), repeats=1, trim=0)
+            return payload["models"]["dcgan"]["calls_per_step"]
+
+        assert calls() == calls()
+
+    def test_package_calls_count_only_repro_functions(self):
+        from repro.harness.bench import _package_calls, _trimmed_median
+
+        # The lambdas live in this file and json/sorted/len are stdlib or
+        # builtins: only the one call into repro counts.
+        assert _package_calls(lambda: json.dumps([len("x")] * 10)) == 0
+        assert _package_calls(lambda: _trimmed_median([2.0, 1.0], trim=0)) == 1
 
     def test_wallclock_gate_band(self):
         from repro.harness.bench import check_wallclock_regression
 
-        baseline = {"models": {"dcgan": {"speedup_vs_scalar": 2.0}}}
-        same = {"models": {"dcgan": {"speedup_vs_scalar": 2.0}}}
-        within = {"models": {"dcgan": {"speedup_vs_scalar": 1.6}}}
-        below = {"models": {"dcgan": {"speedup_vs_scalar": 1.0}}}
-        better = {"models": {"dcgan": {"speedup_vs_scalar": 3.0}}}
-        assert check_wallclock_regression(baseline, same) == []
-        assert check_wallclock_regression(baseline, within, band=0.25) == []
-        assert check_wallclock_regression(baseline, better) == []
-        problems = check_wallclock_regression(baseline, below, band=0.25)
+        def payload(calls):
+            return {"models": {"dcgan": {"calls_per_step": calls}}}
+
+        baseline = payload(1000.0)
+        assert check_wallclock_regression(baseline, payload(1000.0)) == []
+        assert check_wallclock_regression(baseline, payload(1040.0), band=0.05) == []
+        assert check_wallclock_regression(baseline, payload(10.0)) == []
+        problems = check_wallclock_regression(baseline, payload(1060.0), band=0.05)
         assert problems and "dcgan" in problems[0]
 
     def test_wallclock_gate_reports_missing_models(self):
         from repro.harness.bench import check_wallclock_regression
 
-        baseline = {"models": {"dcgan": {"speedup_vs_scalar": 2.0}}}
-        current = {"models": {"lstm": {"speedup_vs_scalar": 2.0}}}
+        baseline = {"models": {"dcgan": {"calls_per_step": 1000.0}}}
+        current = {"models": {"lstm": {"calls_per_step": 1000.0}}}
         problems = check_wallclock_regression(baseline, current)
         assert len(problems) == 2
+
+    def test_committed_wallclock_baseline_has_current_schema(self):
+        import pathlib
+
+        from repro.harness.bench import WALLCLOCK_SCHEMA
+
+        root = pathlib.Path(__file__).resolve().parents[2]
+        committed = load_bench(root / "benchmarks" / "BENCH_wallclock.json")
+        assert committed is not None
+        assert committed["schema"] == WALLCLOCK_SCHEMA
+        for entry in committed["models"].values():
+            assert entry["calls_per_step"] > 0.0
 
     def test_wallclock_gate_rejects_negative_band(self):
         from repro.harness.bench import check_wallclock_regression

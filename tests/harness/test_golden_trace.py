@@ -21,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import accel
 from repro.chaos import ChaosConfig
 from repro.harness.runner import run_policy
 from repro.obs import EventTracer, canonical_digest, to_jsonl
@@ -91,7 +90,7 @@ class TestAdmissionByteIdentity:
     """`AlwaysAdmit` is contractually byte-identical to no controller.
 
     The zoo-wide differential pins the admission gate's disabled/default
-    contract on both accounting paths: a run with ``admission="always"``
+    contract: a run with ``admission="always"``
     must reproduce the exact trace digest of an admission-unset run — the
     gate admits everything, consumes no randomness, and emits trace
     events only on deny/defer.  dcgan is additionally anchored to the
@@ -106,36 +105,33 @@ class TestAdmissionByteIdentity:
         ("autotm", "resnet32", 0.4),
     )
 
-    def digest(self, policy, model, fraction, admission, scalar, **args):
+    def digest(self, policy, model, fraction, admission, **args):
         tracer = EventTracer()
-        with accel.scalar_path(scalar):
-            run_policy(
-                policy,
-                model=model,
-                fast_fraction=fraction,
-                tracer=tracer,
-                admission=admission,
-                admission_args=args or None,
-            )
+        run_policy(
+            policy,
+            model=model,
+            fast_fraction=fraction,
+            tracer=tracer,
+            admission=admission,
+            admission_args=args or None,
+        )
         return canonical_digest(tracer.events)
 
-    @pytest.mark.parametrize("scalar", (False, True), ids=("vec", "scalar"))
     @pytest.mark.parametrize("policy,model,fraction", ZOO)
-    def test_always_admit_matches_unset(self, policy, model, fraction, scalar):
-        unset = self.digest(policy, model, fraction, None, scalar)
-        always = self.digest(policy, model, fraction, "always", scalar)
+    def test_always_admit_matches_unset(self, policy, model, fraction):
+        unset = self.digest(policy, model, fraction, None)
+        always = self.digest(policy, model, fraction, "always")
         assert always == unset
 
-    @pytest.mark.parametrize("scalar", (False, True), ids=("vec", "scalar"))
-    def test_always_admit_matches_checked_in_golden(self, scalar):
+    def test_always_admit_matches_checked_in_golden(self):
         golden = (GOLDEN_DIR / "dcgan_sentinel_trace.sha256").read_text().strip()
-        assert self.digest("sentinel", MODEL, 0.2, "always", scalar) == golden
+        assert self.digest("sentinel", MODEL, 0.2, "always") == golden
 
     def test_active_controller_changes_the_run(self):
         # Sanity check on the differential's power: a controller that
         # actually denies migrations must move the digest.
-        unset = self.digest("sentinel", MODEL, 0.2, None, False)
+        unset = self.digest("sentinel", MODEL, 0.2, None)
         feedback = self.digest(
-            "sentinel", MODEL, 0.2, "feedback", False, stall_target=0.01
+            "sentinel", MODEL, 0.2, "feedback", stall_target=0.01
         )
         assert feedback != unset

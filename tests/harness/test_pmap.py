@@ -1,10 +1,10 @@
-"""The harness's one worker pool: ordering, validation, flag mirroring.
+"""The harness's one worker pool: ordering, validation, start methods.
 
 Sweeps, tournaments and the figure experiments all fan out through
 :func:`repro.harness.sweeps.pmap`, so its contract is pinned here
 directly: input-order results whatever order workers finish in,
 ``workers < 1`` rejected, oversubscribed and empty inputs handled, and the
-parent's :mod:`repro.accel` scalar flag mirrored into every worker.
+same results under the ``spawn`` start method as under the default.
 """
 
 import multiprocessing
@@ -13,7 +13,6 @@ import time
 
 import pytest
 
-from repro import accel
 from repro.harness.sweeps import pmap
 
 
@@ -24,10 +23,6 @@ def _sleep_then_echo(seconds):
 
 def _square(value):
     return value * value
-
-
-def _scalar_in_worker(_item):
-    return accel.scalar_enabled()
 
 
 class TestOrdering:
@@ -68,16 +63,10 @@ class TestSizes:
         assert {pid for _, pid in results} == {os.getpid()}
 
 
-class TestScalarFlag:
-    def test_worker_sees_scalar_path(self):
-        with accel.scalar_path(True):
-            assert pmap(_scalar_in_worker, range(3), workers=2) == [True] * 3
-        assert pmap(_scalar_in_worker, range(3), workers=2) == [False] * 3
-
-    def test_spawned_worker_sees_scalar_path(self, monkeypatch):
-        # A spawned worker starts from a fresh interpreter, so only the
-        # pool initializer can carry the parent's in-memory flag across.
+class TestStartMethod:
+    def test_spawned_workers_round_trip(self, monkeypatch):
+        # A spawned worker starts from a fresh interpreter and must import
+        # the function it runs by module path.
         spawn = multiprocessing.get_context("spawn")
         monkeypatch.setattr(multiprocessing, "get_context", lambda *_: spawn)
-        with accel.scalar_path(True):
-            assert pmap(_scalar_in_worker, range(2), workers=2) == [True, True]
+        assert pmap(_square, range(4), workers=2) == [0, 1, 4, 9]

@@ -4,9 +4,9 @@ Two contracts, both across the model zoo:
 
 * **Zero overhead when disabled** — attaching an insight collector must
   not perturb the simulation by a single byte: the golden trace digest of
-  a run with a collector equals the digest without one, on the scalar and
-  the vectorized accounting paths alike.  Insight *observes* prices, it
-  never sets them.
+  a run with a collector equals the digest without one.  Insight
+  *observes* prices, it never sets them.  The report itself is pinned by
+  the golden corpus (``test_golden_corpus.py``).
 * **Internal consistency when enabled** — residency segments tile each
   tensor's lifetime exactly, the occupancy identity
   ``hot + warm + cold + other == occupancy`` holds at every sample, byte
@@ -17,7 +17,6 @@ Two contracts, both across the model zoo:
 
 import pytest
 
-from repro import accel
 from repro.harness.runner import run_policy
 from repro.obs import (
     EventTracer,
@@ -36,17 +35,16 @@ CASES = [
 ]
 
 
-def traced_run(policy, model, fraction, insight, scalar=False):
+def traced_run(policy, model, fraction, insight):
     tracer = EventTracer()
     collector = InsightCollector() if insight else None
-    with accel.scalar_path(scalar):
-        metrics = run_policy(
-            policy,
-            model=model,
-            fast_fraction=fraction,
-            tracer=tracer,
-            insight=collector,
-        )
+    metrics = run_policy(
+        policy,
+        model=model,
+        fast_fraction=fraction,
+        tracer=tracer,
+        insight=collector,
+    )
     return metrics, tracer, collector
 
 
@@ -81,30 +79,6 @@ class TestDisabledByteIdentity:
         }
         assert stripped == bare_metrics.extras
         assert metrics.step_time == bare_metrics.step_time
-
-    def test_scalar_path_digest_unchanged_by_collector(self):
-        policy, model, fraction = CASES[0]
-        _, bare, _ = traced_run(policy, model, fraction, insight=False, scalar=True)
-        _, with_insight, _ = traced_run(
-            policy, model, fraction, insight=True, scalar=True
-        )
-        assert canonical_digest(with_insight.events) == canonical_digest(
-            bare.events
-        )
-
-    def test_scalar_and_vectorized_agree_under_insight(self):
-        policy, model, fraction = CASES[0]
-        _, _, scalar_collector = traced_run(
-            policy, model, fraction, insight=True, scalar=True
-        )
-        _, _, vector_collector = traced_run(
-            policy, model, fraction, insight=True, scalar=False
-        )
-        from repro.obs import insight_json
-
-        assert insight_json(scalar_collector.report()) == insight_json(
-            vector_collector.report()
-        )
 
 
 class TestEnabledConsistency:

@@ -1,5 +1,5 @@
 """The mechanisms are platform-agnostic: orderings hold on machines the
-paper never ran (CXL capacity tier, A100-class accelerator)."""
+paper never ran (CXL capacity tier, A100-class GPU)."""
 
 import pytest
 
