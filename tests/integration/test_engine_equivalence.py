@@ -1,24 +1,48 @@
-"""Event-engine determinism and driver guards.
+"""Engine-vs-inline differential, event-engine determinism and driver guards.
 
 ``Executor.run_step()`` drives the step body as a process on the
 discrete-event engine (channel completions fire as ``TRANSFER_DONE``
-events, migration commits happen at their analytic finish instants).  These
-tests pin that the same seed and workload fire the same events in the same
-order, and that the executor refuses to share a machine already bound to
-another engine.  Per-run timings and trace digests across the zoo are
-pinned by the golden corpus (``test_golden_corpus.py``).
+events, migration commits happen at their analytic finish instants).  The
+engine port's contract is *observational identity* with the inline
+lockstep loop it replaced: the engine changes when code runs, never what
+times it computes.  The inline driver is gone; what it computed for these
+workloads is kept as data (``scalar_reference.py``), and these tests pin
+per-step timings, migration traffic and the full trace byte stream of the
+engine driver against it.  They also pin that the same seed and workload
+fire the same events in the same order, and that the executor refuses to
+share a machine already bound to another engine.
+
+If an equivalence test fails, the engine has changed simulation
+semantics: fix the engine, do not refresh the reference.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.baselines.registry import make_policy
-from repro.core.runtime import SentinelConfig
+from repro.core.runtime import SentinelConfig, SentinelPolicy
 from repro.dnn.executor import Executor
 from repro.errors import ExecutionError
 from repro.harness.runner import EXPERIMENT_WARMUP_STEPS
 from repro.mem.machine import Machine
-from repro.mem.platforms import OPTANE_HM
+from repro.mem.platforms import GPU_HM, OPTANE_HM
 from repro.models.zoo import build_model
+from repro.obs import EventTracer, canonical_digest
+from tests.integration.scalar_reference import reference, sha256_json
+
+#: (model, policy, platform) points covering the zoo's families: GAN,
+#: recurrent, plain conv, and the GPU flavour of Sentinel.
+ZOO_POINTS = [
+    ("dcgan", "sentinel", OPTANE_HM),
+    ("dcgan", "ial", OPTANE_HM),
+    ("lstm", "sentinel", OPTANE_HM),
+    ("resnet32", "first-touch", OPTANE_HM),
+    ("dcgan", "sentinel-gpu", GPU_HM),
+]
+
+#: What the inline lockstep driver computed for the workloads below.
+INLINE = reference("engine_equivalence")
 
 STEPS = 7  # enough to cross Sentinel's warmup -> profiling -> managed phases
 
@@ -36,6 +60,44 @@ def build_setup(model, policy_name, platform, tracer=None):
         sentinel_config=SentinelConfig(warmup_steps=EXPERIMENT_WARMUP_STEPS),
     )
     return Executor(graph, machine, policy)
+
+
+def run_engine(model, policy_name, platform):
+    tracer = EventTracer()
+    executor = build_setup(model, policy_name, platform, tracer=tracer)
+    results = [executor.run_step() for _ in range(STEPS)]
+    return results, tracer.events, executor
+
+
+class TestEngineInlineEquivalence:
+    @pytest.mark.parametrize(
+        "model,policy,platform",
+        ZOO_POINTS,
+        ids=[f"{m}-{p}" for m, p, _ in ZOO_POINTS],
+    )
+    def test_per_step_results_identical(self, model, policy, platform):
+        results, events, _ = run_engine(model, policy, platform)
+        # Every field of every StepResult — start/end times, compute/mem/
+        # stall/fault decomposition, migrated bytes, peaks, layer spans.
+        assert sha256_json(
+            [dataclasses.asdict(r) for r in results]
+        ) == INLINE[f"steps/{model}-{policy}"]
+        # And the structured event stream, byte for byte.
+        assert canonical_digest(events) == INLINE[f"events/{model}-{policy}"]
+
+    def test_migrated_bytes_match_step_by_step(self):
+        results, _, _ = run_engine("dcgan", "sentinel", OPTANE_HM)
+        assert [r.migrated_bytes for r in results] == INLINE["migrated_bytes"]
+        # The managed phase actually migrates — the comparison is not vacuous.
+        assert sum(r.migrated_bytes for r in results) > 0
+
+    def test_sentinel_phase_bookkeeping_matches(self):
+        _, _, executor = run_engine("dcgan", "sentinel", OPTANE_HM)
+        assert isinstance(executor.policy, SentinelPolicy)
+        assert {
+            "case2": executor.policy.case2_occurrences,
+            "case3": executor.policy.case3_occurrences,
+        } == INLINE["case_occurrences"]
 
 
 class TestEventOrderDeterminism:

@@ -4,9 +4,10 @@ Two contracts, both across the model zoo:
 
 * **Zero overhead when disabled** — attaching an insight collector must
   not perturb the simulation by a single byte: the golden trace digest of
-  a run with a collector equals the digest without one.  Insight
-  *observes* prices, it never sets them.  The report itself is pinned by
-  the golden corpus (``test_golden_corpus.py``).
+  a run with a collector equals the digest without one, and equals what
+  the deleted scalar accounting path produced (kept as data in
+  ``scalar_reference.py``).  Insight *observes* prices, it never sets
+  them.  The report itself matches the scalar path's report too.
 * **Internal consistency when enabled** — residency segments tile each
   tensor's lifetime exactly, the occupancy identity
   ``hot + warm + cold + other == occupancy`` holds at every sample, byte
@@ -23,8 +24,10 @@ from repro.obs import (
     InsightCollector,
     TraceQuery,
     canonical_digest,
+    insight_json,
     validate_insight,
 )
+from tests.integration.scalar_reference import reference, sha256_text
 
 #: (policy, model, fast_fraction) spanning policy families and the zoo.
 CASES = [
@@ -33,6 +36,9 @@ CASES = [
     ("ial", "mobilenet", 0.4),
     ("autotm", "lstm", 0.4),
 ]
+
+#: What the scalar accounting path produced for ``CASES[0]``.
+SCALAR = reference("insight_differential")
 
 
 def traced_run(policy, model, fraction, insight):
@@ -79,6 +85,22 @@ class TestDisabledByteIdentity:
         }
         assert stripped == bare_metrics.extras
         assert metrics.step_time == bare_metrics.step_time
+
+    def test_scalar_path_digest_unchanged_by_collector(self, collected):
+        policy, model, fraction = CASES[0]
+        _, with_insight, _ = collected[CASES[0]]
+        assert (
+            canonical_digest(with_insight.events)
+            == SCALAR[f"trace/{policy}-{model}-{fraction}"]
+        )
+
+    def test_scalar_and_vectorized_agree_under_insight(self, collected):
+        policy, model, fraction = CASES[0]
+        _, _, collector = collected[CASES[0]]
+        assert (
+            sha256_text(insight_json(collector.report()))
+            == SCALAR[f"insight/{policy}-{model}-{fraction}"]
+        )
 
 
 class TestEnabledConsistency:

@@ -4,7 +4,8 @@ Three contracts from the RAS design:
 
 * **Off means off** — ``ras=None`` and a disabled config produce runs
   byte-identical to each other and to the checked-in pre-RAS golden
-  trace digest.
+  trace digest; an enabled storm reproduces what the deleted scalar
+  accounting path produced (kept as data in ``scalar_reference.py``).
 * **Deterministic storms** — a fixed-seed UE storm replays exactly:
   same injected errors, same retired frames, same recovery costs, same
   trace bytes.
@@ -23,6 +24,7 @@ from repro.harness.runner import run_policy
 from repro.mem.ras import RASConfig
 from repro.obs import EventTracer, canonical_digest, to_jsonl
 from repro.obs.critpath import attribute
+from tests.integration.scalar_reference import metrics_digest, reference
 
 ZOO = (
     "resnet32",
@@ -72,6 +74,15 @@ class TestDisabledByteIdentity:
         # bit-for-bit — the whole subsystem disappears behind its gates.
         _, tracer = traced_run(ras=RASConfig())
         assert canonical_digest(tracer.events) == golden_digest
+
+    def test_enabled_run_is_scalar_vectorized_identical(self):
+        metrics = run_policy(
+            "sentinel", model="dcgan", fast_fraction=0.2, ras=STORM
+        )
+        assert (
+            metrics_digest(metrics)
+            == reference("ras_resilience")["metrics/storm"]
+        )
 
 
 @pytest.fixture()
