@@ -2,7 +2,10 @@
 
 Commands:
 
-* ``run``        — one (model, policy) simulation, metrics printed as a table.
+* ``run``        — one (model, policy) simulation, metrics printed as a table;
+  ``--trace``, ``--critpath`` and ``--insight``/``--insight-html`` observe
+  the same run as an event trace, a per-step critical-path attribution and
+  a tensor-level insight report.
 * ``compare``    — every applicable policy on one model (the quickstart).
 * ``profile``    — Sentinel's tensor-level dynamic profile of a model.
 * ``sweep``      — Sentinel across fast-memory fractions (Figure 10 style).
@@ -13,10 +16,6 @@ Commands:
 * ``concurrent`` — co-schedule several models on one machine (event engine).
 * ``serve``      — open-loop serving with SLO-aware admission and failure
   episodes (retry/backoff, checkpoint/restart, latency percentiles).
-* ``trace``      — run one simulation with event tracing and export the trace.
-* ``critpath``   — per-step critical-path attribution of a traced run.
-* ``insight``    — tensor-level insight: residency timelines, heat,
-  ping-pong/thrash analytics, stall attribution, HTML report.
 * ``bench``      — attribution benchmark + step-time regression gate.
 * ``tournament`` — ranked leaderboard over {model x policy x admission
   controller x pressure governor} combos (byte-stable JSON artifact).
@@ -124,8 +123,11 @@ def _insight_from(args):
     return InsightCollector()
 
 
-def _write_insight_artifacts(args, report) -> None:
-    """Write the JSON / HTML artifacts a command's insight flags asked for."""
+def _write_insight_artifacts(args, report, **html_kwargs) -> None:
+    """Write the JSON / HTML artifacts a command's insight flags asked for.
+
+    ``html_kwargs`` go to :func:`repro.obs.write_insight_html` (``top``).
+    """
     if getattr(args, "insight", None):
         from repro.obs import write_insight
 
@@ -134,7 +136,7 @@ def _write_insight_artifacts(args, report) -> None:
     if getattr(args, "insight_html", None):
         from repro.obs import write_insight_html
 
-        write_insight_html(report, args.insight_html)
+        write_insight_html(report, args.insight_html, **html_kwargs)
         print(f"insight html: {args.insight_html}")
 
 
@@ -329,30 +331,6 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _add_machine_flags(parser, fast_fraction_default) -> None:
-    """Attach the single-run flags: batch, platform, fast memory, chaos."""
-    parser.add_argument("--batch", type=int, default=None)
-    parser.add_argument("--platform", type=_platform, default=OPTANE_HM)
-    parser.add_argument(
-        "--fast-fraction",
-        type=_fraction,
-        default=fast_fraction_default,
-        help="fast memory as a fraction of the model's peak (paper: 0.2)",
-    )
-    parser.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.0,
-        help="inject faults at this rate (0 = no injector attached)",
-    )
-    parser.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        help="seed for the deterministic fault injector",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -364,7 +342,27 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one policy on one model")
     run.add_argument("model", choices=sorted(MODELS))
     run.add_argument("policy", choices=sorted(POLICIES))
-    _add_machine_flags(run, fast_fraction_default=None)
+    run.add_argument("--batch", type=int, default=None)
+    run.add_argument("--platform", type=_platform, default=OPTANE_HM)
+    run.add_argument(
+        "--fast-fraction",
+        type=_fraction,
+        default=None,
+        help="fast memory as a fraction of the model's peak (paper: 0.2; "
+        "unset = the platform's whole fast tier)",
+    )
+    run.add_argument(
+        "--fault-rate",
+        type=float,
+        default=0.0,
+        help="inject faults at this rate (0 = no injector attached)",
+    )
+    run.add_argument(
+        "--chaos-seed",
+        type=int,
+        default=0,
+        help="seed for the deterministic fault injector",
+    )
     run.add_argument(
         "--audit",
         action="store_true",
@@ -374,9 +372,35 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="PATH",
         default=None,
-        help="write a Chrome trace of the run to PATH (open in Perfetto)",
+        help="print the per-category trace summary and write the event trace "
+        "to PATH: canonical JSONL when PATH ends in .jsonl, else Chrome "
+        "trace_event JSON (open in Perfetto)",
+    )
+    run.add_argument(
+        "--critpath",
+        metavar="PATH",
+        nargs="?",
+        const="",
+        default=None,
+        help="print the per-step critical-path attribution (Figure 13 "
+        "breakdown) and the last step's critical path; with PATH, also "
+        "write the attribution as canonical JSON",
+    )
+    run.add_argument(
+        "--bandwidth-scale",
+        type=float,
+        default=None,
+        metavar="K",
+        help="with --critpath, also answer the what-if of K-times migration "
+        "bandwidth",
     )
     _add_insight_flags(run)
+    run.add_argument(
+        "--top",
+        type=int,
+        default=10,
+        help="tensors to list in the insight table and HTML report",
+    )
     _add_pressure_flags(run)
     _add_ras_flags(run)
     _add_admission_flags(run)
@@ -593,89 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ras_flags(serve)
     _add_admission_flags(serve, flag="--migration-admission")
 
-    trace = sub.add_parser(
-        "trace", help="run one simulation under event tracing and export it"
-    )
-    trace.add_argument("model", choices=sorted(MODELS))
-    trace.add_argument("policy", choices=sorted(POLICIES))
-    _add_machine_flags(trace, fast_fraction_default=0.2)
-    trace.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="output file (default: print the per-category summary only)",
-    )
-    trace.add_argument(
-        "--format",
-        choices=("chrome", "jsonl", "summary"),
-        default="chrome",
-        help="chrome: Perfetto-loadable trace_event JSON; jsonl: canonical "
-        "one-event-per-line records; summary: per-category digest table",
-    )
-
-    critpath = sub.add_parser(
-        "critpath",
-        help="per-step critical-path attribution of a traced run",
-    )
-    critpath.add_argument("model", choices=sorted(MODELS))
-    critpath.add_argument("policy", choices=sorted(POLICIES))
-    _add_machine_flags(critpath, fast_fraction_default=0.2)
-    critpath.add_argument(
-        "--capacity",
-        type=int,
-        default=65536,
-        help="tracer ring-buffer capacity; attribution refuses truncated "
-        "windows, so raise this for very large models",
-    )
-    critpath.add_argument(
-        "--bandwidth-scale",
-        type=float,
-        default=None,
-        metavar="K",
-        help="additionally answer the what-if of K-times migration bandwidth",
-    )
-    critpath.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the per-step attribution as canonical JSON to PATH",
-    )
-    _add_pressure_flags(critpath)
-    _add_ras_flags(critpath)
-
-    insight = sub.add_parser(
-        "insight",
-        help="tensor-level insight report: residency, heat, ping-pong, "
-        "thrash, per-tensor stall attribution",
-    )
-    insight.add_argument("model", choices=sorted(MODELS))
-    insight.add_argument("policy", choices=sorted(POLICIES))
-    _add_machine_flags(insight, fast_fraction_default=0.2)
-    insight.add_argument(
-        "--top", type=int, default=10, help="tensors to list in the table"
-    )
-    insight.add_argument(
-        "--capacity",
-        type=int,
-        default=65536,
-        help="tracer ring-buffer capacity for the stall-attribution join; "
-        "a truncated window skips the join instead of failing the report",
-    )
-    insight.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="write the canonical insight JSON artifact to PATH",
-    )
-    insight.add_argument(
-        "--html",
-        metavar="PATH",
-        default=None,
-        help="write the self-contained HTML report to PATH",
-    )
-    _add_pressure_flags(insight)
-    _add_ras_flags(insight)
-
     bench = sub.add_parser(
         "bench",
         help="attribution benchmark: write BENCH_*.json and gate on the "
@@ -806,11 +747,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     tracer = None
-    if args.trace:
+    collector = _insight_from(args)
+    if args.trace or args.critpath is not None or collector is not None:
         from repro.obs import EventTracer
 
         tracer = EventTracer()
-    collector = _insight_from(args)
     metrics = run_policy(
         args.policy,
         model=args.model,
@@ -846,18 +787,137 @@ def _cmd_run(args) -> int:
     if any(key.startswith("admission.") for key in metrics.extras):
         print()
         print(format_admission(metrics.extras))
-    if tracer is not None:
-        from repro.obs import write_chrome
+    if args.trace:
+        _write_trace(args, tracer, metrics)
+    attribution = None
+    if args.critpath is not None or collector is not None:
+        from repro.obs import TraceTruncatedError, attribute
 
-        write_chrome(
-            tracer.events, args.trace, process_name=f"{args.model}/{args.policy}"
-        )
-        print(f"trace: {len(tracer)} events -> {args.trace}")
+        try:
+            attribution = attribute(tracer.events, dropped=tracer.dropped)
+        except TraceTruncatedError as error:
+            if args.critpath is not None:
+                print(f"error: {error}", file=sys.stderr)
+                return 1
+            print(
+                "note: trace window truncated — skipping per-tensor stall "
+                "attribution",
+                file=sys.stderr,
+            )
+    if args.critpath is not None:
+        _print_critpath(args, tracer, attribution, metrics)
     if collector is not None:
-        _write_insight_artifacts(
-            args, collector.report(meta={"model": args.model, "policy": args.policy})
-        )
+        _report_insight(args, collector, attribution, metrics)
     return 0
+
+
+def _write_trace(args, tracer, metrics) -> None:
+    """Print the per-category summary and export the trace ``--trace`` names.
+
+    The summary carries the ring buffer's dropped-events warning, so a
+    truncated window is never silent.
+    """
+    from repro.harness.report import format_trace_summary
+    from repro.obs import to_jsonl, write_chrome
+
+    events = tracer.events
+    print()
+    print(
+        format_trace_summary(
+            events,
+            title=f"{args.model} / {args.policy} (batch {metrics.batch_size}, "
+            f"step {metrics.step_time:.4f}s)",
+            dropped=tracer.dropped,
+        )
+    )
+    if args.trace.endswith(".jsonl"):
+        with open(args.trace, "w") as handle:
+            handle.write(to_jsonl(events))
+        kind = "jsonl"
+    else:
+        write_chrome(events, args.trace, process_name=f"{args.model}/{args.policy}")
+        kind = "chrome"
+    print(f"trace: {len(events)} events -> {args.trace} ({kind})")
+
+
+def _print_critpath(args, tracer, attribution, metrics) -> None:
+    """Print ``--critpath``'s attribution table and critical-path line, and
+    write its canonical JSON when a path was given."""
+    from repro.harness.report import format_attribution
+    from repro.obs import build_step_dags, critical_path
+
+    print()
+    print(
+        format_attribution(
+            attribution,
+            title=f"{args.model} / {args.policy} (batch {metrics.batch_size}) — "
+            "step attribution",
+        )
+    )
+    if args.bandwidth_scale is not None and len(attribution):
+        scaled = attribution.what_if_bandwidth_scale(args.bandwidth_scale)
+        print(f"what-if {args.bandwidth_scale:g}x bandwidth = {scaled:.4f} s")
+    dags = build_step_dags(tracer.events, dropped=tracer.dropped)
+    if dags:
+        dag = dags[-1]
+        path = critical_path(dag)
+        by_kind: dict = {}
+        for node in path:
+            by_kind[node.kind] = by_kind.get(node.kind, 0.0) + node.duration
+        composition = ", ".join(
+            f"{kind} {total:.4f}s" for kind, total in sorted(by_kind.items())
+        )
+        print(
+            f"\ncritical path (step {dag.step}): {len(path)} nodes spanning "
+            f"{dag.makespan:.4f}s — {composition}"
+        )
+    if args.critpath:
+        import json
+
+        payload = {
+            "model": args.model,
+            "policy": args.policy,
+            "steps": [
+                {"step": step.step, "duration": step.duration, **step.components()}
+                for step in attribution
+            ],
+            "median_step_time": attribution.median_step_time(),
+            "what_if_free_migration": attribution.what_if_free_migration(),
+            "what_if_2x_bandwidth": attribution.what_if_bandwidth_scale(2.0),
+        }
+        with open(args.critpath, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"attribution: {len(attribution)} steps -> {args.critpath}")
+
+
+def _report_insight(args, collector, attribution, metrics) -> None:
+    """Print the insight table and write the artifacts the insight flags ask
+    for; the report's stall column is joined from ``attribution`` unless the
+    trace window was truncated."""
+    from repro.harness.report import format_insight
+    from repro.obs import join_stall_attribution
+
+    report = collector.report(
+        meta={
+            "model": args.model,
+            "policy": args.policy,
+            "batch_size": metrics.batch_size,
+            "step_time": metrics.step_time,
+        }
+    )
+    if attribution is not None:
+        join_stall_attribution(report, attribution)
+    print()
+    print(
+        format_insight(
+            report,
+            top=args.top,
+            title=f"{args.model} / {args.policy} (batch {metrics.batch_size}, "
+            f"step {metrics.step_time:.4f}s) — tensor insight",
+        )
+    )
+    _write_insight_artifacts(args, report, top=args.top)
 
 
 def _cmd_compare(args) -> int:
@@ -1321,161 +1381,6 @@ def _cmd_tournament(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    from repro.harness.report import format_trace_summary
-    from repro.obs import EventTracer, to_jsonl, write_chrome
-
-    tracer = EventTracer()
-    metrics = run_policy(
-        args.policy, model=args.model, tracer=tracer, **_run_kwargs(args)
-    )
-    events = tracer.events
-    title = (
-        f"{args.model} / {args.policy} (batch {metrics.batch_size}, "
-        f"step {metrics.step_time:.4f}s)"
-    )
-    if args.out is None or args.format == "summary":
-        text = format_trace_summary(events, title=title, dropped=tracer.dropped)
-        if args.out is not None:
-            with open(args.out, "w") as handle:
-                handle.write(text + "\n")
-        else:
-            print(text)
-    if args.out is not None and args.format == "chrome":
-        write_chrome(events, args.out, process_name=f"{args.model}/{args.policy}")
-    elif args.out is not None and args.format == "jsonl":
-        with open(args.out, "w") as handle:
-            handle.write(to_jsonl(events))
-    if args.out is not None:
-        print(f"trace: {len(events)} events -> {args.out} ({args.format})")
-    if tracer.dropped and args.out is not None:
-        # The printed summary already carries this warning; repeat it on
-        # stdout for file exports so the truncation is never silent.
-        print(
-            f"WARNING: ring buffer dropped {tracer.dropped} events — "
-            "window truncated, attribution may be partial "
-            "(raise EventTracer capacity to keep them)"
-        )
-    return 0
-
-
-def _cmd_critpath(args) -> int:
-    from repro.errors import TraceTruncatedError
-    from repro.harness.report import format_attribution
-    from repro.obs import EventTracer, attribute, build_step_dags, critical_path
-
-    tracer = EventTracer(capacity=args.capacity)
-    metrics = run_policy(
-        args.policy, model=args.model, tracer=tracer, **_run_kwargs(args)
-    )
-    try:
-        attribution = attribute(tracer.events, dropped=tracer.dropped)
-        dags = build_step_dags(tracer.events, dropped=tracer.dropped)
-    except TraceTruncatedError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    title = (
-        f"{args.model} / {args.policy} (batch {metrics.batch_size}) — "
-        "step attribution"
-    )
-    print(format_attribution(attribution, title=title))
-    if args.bandwidth_scale is not None and len(attribution):
-        scaled = attribution.what_if_bandwidth_scale(args.bandwidth_scale)
-        print(
-            f"what-if {args.bandwidth_scale:g}x bandwidth = {scaled:.4f} s"
-        )
-    if dags:
-        dag = dags[-1]
-        path = critical_path(dag)
-        by_kind: dict = {}
-        for node in path:
-            by_kind[node.kind] = by_kind.get(node.kind, 0.0) + node.duration
-        composition = ", ".join(
-            f"{kind} {total:.4f}s" for kind, total in sorted(by_kind.items())
-        )
-        print(
-            f"\ncritical path (step {dag.step}): {len(path)} nodes spanning "
-            f"{dag.makespan:.4f}s — {composition}"
-        )
-    if args.json is not None:
-        import json
-
-        payload = {
-            "model": args.model,
-            "policy": args.policy,
-            "steps": [
-                {"step": step.step, "duration": step.duration, **step.components()}
-                for step in attribution
-            ],
-            "median_step_time": attribution.median_step_time(),
-            "what_if_free_migration": attribution.what_if_free_migration(),
-            "what_if_2x_bandwidth": attribution.what_if_bandwidth_scale(2.0),
-        }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"attribution: {len(attribution)} steps -> {args.json}")
-    return 0
-
-
-def _cmd_insight(args) -> int:
-    from repro.errors import TraceTruncatedError
-    from repro.harness.report import format_insight
-    from repro.obs import (
-        EventTracer,
-        InsightCollector,
-        attribute,
-        join_stall_attribution,
-    )
-
-    tracer = EventTracer(capacity=args.capacity)
-    collector = InsightCollector()
-    metrics = run_policy(
-        args.policy,
-        model=args.model,
-        tracer=tracer,
-        insight=collector,
-        **_run_kwargs(args),
-    )
-    report = collector.report(
-        meta={
-            "model": args.model,
-            "policy": args.policy,
-            "batch_size": metrics.batch_size,
-            "step_time": metrics.step_time,
-        }
-    )
-    try:
-        attribution = attribute(tracer.events, dropped=tracer.dropped)
-    except TraceTruncatedError:
-        print(
-            "note: trace window truncated — skipping per-tensor stall "
-            "attribution (raise --capacity to keep it)",
-            file=sys.stderr,
-        )
-    else:
-        join_stall_attribution(report, attribution)
-    print(
-        format_insight(
-            report,
-            top=args.top,
-            title=f"{args.model} / {args.policy} (batch {metrics.batch_size}, "
-            f"step {metrics.step_time:.4f}s) — tensor insight",
-        )
-    )
-    if args.json:
-        from repro.obs import write_insight
-
-        write_insight(report, args.json)
-        print(f"insight: {len(report['tensors'])} tensor episodes -> {args.json}")
-    if args.html:
-        from repro.obs import write_insight_html
-
-        write_insight_html(report, args.html, top=args.top)
-        print(f"insight html: {args.html}")
-    return 0
-
-
 def _cmd_bench(args) -> int:
     from pathlib import Path
 
@@ -1609,9 +1514,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "pressure": _cmd_pressure,
         "concurrent": _cmd_concurrent,
         "serve": _cmd_serve,
-        "trace": _cmd_trace,
-        "critpath": _cmd_critpath,
-        "insight": _cmd_insight,
         "bench": _cmd_bench,
         "tournament": _cmd_tournament,
     }

@@ -285,11 +285,6 @@ class ArenaAllocator(Allocator):
             for chunk in chunks
         )
 
-    def chunk_count(self) -> int:
-        return sum(len(chunks) for chunks in self._bins.values()) + sum(
-            len(chunks) for chunks in self._chunks_by_tid.values()
-        )
-
     def fragmentation_bytes(self, class_bytes: Optional[int] = None) -> int:
         """Free bytes unusable for a request of ``class_bytes``.
 

@@ -43,7 +43,7 @@ engine via :func:`repro.harness.cluster.run_concurrent`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +56,9 @@ from repro.errors import ExecutionError
 from repro.mem.machine import Machine
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
+
+if TYPE_CHECKING:
+    from repro.obs.insight import InsightScope
 
 
 class StepObserver:
@@ -117,11 +120,6 @@ class StepResult:
     def migrated_bytes(self) -> int:
         return self.promoted_bytes + self.demoted_bytes
 
-    @property
-    def exposed_overhead(self) -> float:
-        """Time on the critical path not spent computing."""
-        return self.stall_time + self.fault_time
-
 
 class Executor:
     """Executes training steps of one graph under one policy.
@@ -134,7 +132,11 @@ class Executor:
             hold per-workload state).
         allocator: override the policy's allocator.
         observers: instrumentation hooks.
-        tracer: optional per-access tracer (profiler-style).
+        tracer: optional per-access hook, called as
+            ``record(step, layer, op, access, charge, now)`` once per op
+            access after it is priced.  Its one implementation is
+            :class:`repro.obs.insight.InsightScope`
+            (``InsightCollector.scope(name)``).
         engine: share an existing discrete-event engine (cluster mode).
             The executor adopts the engine's clock so all co-scheduled
             workloads tick the same timeline.  ``None`` (the default)
@@ -151,7 +153,7 @@ class Executor:
         policy: PlacementPolicy,
         allocator: Optional[Allocator] = None,
         observers: Sequence[StepObserver] = (),
-        tracer: Optional["Tracer"] = None,
+        tracer: Optional["InsightScope"] = None,
         engine: Optional[Engine] = None,
         track: str = "main",
     ) -> None:

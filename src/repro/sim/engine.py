@@ -619,11 +619,6 @@ class Engine:
         if proc in self._processes:
             self._processes.remove(proc)
 
-    @property
-    def active_processes(self) -> List[Process]:
-        """Processes spawned and not yet completed."""
-        return list(self._processes)
-
     # ------------------------------------------------------------------- run
 
     def _fire(self, event: Event) -> None:

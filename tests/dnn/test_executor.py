@@ -137,6 +137,33 @@ class TestObservers:
         assert events.index(("free", "act")) < events.index(("layer_end", 1))
         assert events[-1] == ("step_end", 0)
 
+    def test_per_access_hook_sees_every_access(self):
+        class WeightsFast(PlacementPolicy):
+            def place(self, tensor, now):
+                if tensor.kind is TensorKind.WEIGHT:
+                    return DeviceKind.FAST
+                return DeviceKind.SLOW
+
+        calls = []
+
+        class Hook:
+            def record(self, step, layer, op, access, charge, now):
+                calls.append(
+                    (op.name, access.tensor.name, charge.bytes_fast, charge.bytes_slow)
+                )
+
+        graph = two_layer_graph()
+        executor = Executor(graph, Machine(OPTANE_HM), WeightsFast(), tracer=Hook())
+        result = executor.run_step()
+        assert [call[:2] for call in calls] == [
+            (op.name, access.tensor.name)
+            for layer in graph.layers
+            for op in layer.ops
+            for access in op.accesses
+        ]
+        assert sum(call[2] for call in calls) == result.bytes_fast > 0
+        assert sum(call[3] for call in calls) == result.bytes_slow > 0
+
     def test_layer_spans_cover_step(self):
         _, _, result = run_once()
         assert [span[0] for span in result.layer_spans] == [0, 1]

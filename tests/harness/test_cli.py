@@ -46,9 +46,6 @@ class TestParser:
             ["pressure", "--fractions"],
             ["concurrent", "dcgan", "lstm", "--fast-fraction"],
             ["serve", "--fast-fraction"],
-            ["trace", "dcgan", "sentinel", "--fast-fraction"],
-            ["critpath", "dcgan", "sentinel", "--fast-fraction"],
-            ["insight", "dcgan", "sentinel", "--fast-fraction"],
             ["bench", "--fast-fraction"],
             ["tournament", "--fast-fraction"],
         ],
@@ -74,11 +71,11 @@ class TestParser:
         from repro.mem.platforms import OPTANE_HM
 
         parser = build_parser()
-        quiet = _run_kwargs(parser.parse_args(["trace", "dcgan", "sentinel"]))
+        quiet = _run_kwargs(parser.parse_args(["run", "dcgan", "sentinel"]))
         assert quiet == {
             "batch_size": None,
             "platform": OPTANE_HM,
-            "fast_fraction": 0.2,
+            "fast_fraction": None,
             "chaos": None,
             "audit": False,
             "pressure": None,
@@ -91,6 +88,7 @@ class TestParser:
             parser.parse_args(
                 [
                     "run", "dcgan", "sentinel", "--batch", "8", "--audit",
+                    "--fast-fraction", "0.2",
                     "--fault-rate", "0.1", "--chaos-seed", "3",
                     "--fast-watermarks", "0.75,0.9", "--ue-rate", "1e-12",
                     "--admission", "feedback",
@@ -99,7 +97,7 @@ class TestParser:
             )
         )
         assert loud["batch_size"] == 8 and loud["audit"] is True
-        assert loud["fast_fraction"] is None
+        assert loud["fast_fraction"] == 0.2
         assert loud["chaos"].seed == 3
         assert loud["pressure"] is not None and loud["ras"] is not None
         assert loud["admission"] == "feedback"
@@ -192,8 +190,12 @@ class TestCommands:
 
 
 class TestTraceCommands:
-    def test_trace_summary_to_stdout(self, capsys):
-        assert main(["trace", "dcgan", "sentinel", "--batch", "8"]) == 0
+    def test_trace_summary_to_stdout(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        assert main(
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--trace", str(path)]
+        ) == 0
         out = capsys.readouterr().out
         assert "category" in out
         assert "migration" in out
@@ -206,48 +208,73 @@ class TestTraceCommands:
 
         path = tmp_path / "trace.json"
         assert main(
-            ["trace", "dcgan", "sentinel", "--batch", "8", "--out", str(path)]
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--trace", str(path)]
         ) == 0
         obj = json.loads(path.read_text())
         assert validate_chrome(obj) > 0
-        assert "chrome" in capsys.readouterr().out
+        assert "(chrome)" in capsys.readouterr().out
 
     def test_trace_jsonl_export(self, tmp_path, capsys):
         import json
 
         path = tmp_path / "trace.jsonl"
         assert main(
-            ["trace", "dcgan", "sentinel", "--batch", "8",
-             "--out", str(path), "--format", "jsonl"]
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--trace", str(path)]
         ) == 0
         lines = path.read_text().strip().split("\n")
         assert len(lines) > 100
         record = json.loads(lines[0])
         assert {"name", "cat", "ph", "ts"} <= set(record)
+        assert "(jsonl)" in capsys.readouterr().out
 
     def test_trace_with_fault_injection(self, tmp_path):
         import json
 
         path = tmp_path / "trace.json"
         assert main(
-            ["trace", "dcgan", "sentinel", "--batch", "8", "--fault-rate", "0.2",
-             "--chaos-seed", "5", "--out", str(path)]
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--fault-rate", "0.2", "--chaos-seed", "5", "--trace", str(path)]
         ) == 0
         obj = json.loads(path.read_text())
         cats = {row.get("cat") for row in obj["traceEvents"]}
         assert "chaos" in cats
 
     def test_run_trace_flag_writes_chrome(self, tmp_path, capsys):
-        import json
-
-        from repro.obs import validate_chrome
-
+        # Tracing observes, never steers: the metrics table is the same
+        # as an untraced run's, and the trace lands after it.
+        assert main(["run", "dcgan", "sentinel", "--batch", "8"]) == 0
+        plain = capsys.readouterr().out
         path = tmp_path / "run.json"
         assert main(
             ["run", "dcgan", "sentinel", "--batch", "8", "--trace", str(path)]
         ) == 0
-        assert validate_chrome(json.loads(path.read_text())) > 0
-        assert "trace:" in capsys.readouterr().out
+        traced = capsys.readouterr().out
+        assert traced.startswith(plain)
+        assert "trace:" in traced
+        assert path.stat().st_size > 0
+
+    def test_run_insight_writes_joined_report(self, tmp_path, capsys):
+        import json
+
+        from repro.obs import validate_insight
+
+        path = tmp_path / "insight.json"
+        html = tmp_path / "insight.html"
+        assert main(
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.3",
+             "--insight", str(path), "--insight-html", str(html), "--top", "3"]
+        ) == 0
+        report = json.loads(path.read_text())
+        assert validate_insight(report) > 0
+        assert report["meta"]["batch_size"] == 8
+        assert report["meta"]["step_time"] > 0
+        assert "stall_unattributed" in report["totals"]
+        assert all("stall" in row for row in report["tensors"])
+        out = capsys.readouterr().out
+        assert "top 3 tensors by migrated bytes" in out
+        assert html.read_text().startswith("<!doctype html>")
 
     def test_grid_trace_flag_combines_points(self, tmp_path, capsys):
         import json
@@ -344,7 +371,10 @@ class TestPressureCommands:
 
 class TestCritpathCommand:
     def test_prints_attribution_and_critical_path(self, capsys):
-        assert main(["critpath", "dcgan", "sentinel", "--batch", "8"]) == 0
+        assert main(
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--critpath"]
+        ) == 0
         out = capsys.readouterr().out
         assert "step attribution" in out
         assert "mig stall" in out and "contention" in out
@@ -352,30 +382,18 @@ class TestCritpathCommand:
         assert "critical path (step" in out
 
     def test_bandwidth_scale_flag(self, capsys):
-        assert (
-            main(
-                [
-                    "critpath",
-                    "dcgan",
-                    "sentinel",
-                    "--batch",
-                    "8",
-                    "--bandwidth-scale",
-                    "4",
-                ]
-            )
-            == 0
-        )
+        assert main(
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--critpath", "--bandwidth-scale", "4"]
+        ) == 0
         assert "what-if 4x bandwidth" in capsys.readouterr().out
 
     def test_json_export(self, tmp_path, capsys):
         path = tmp_path / "attribution.json"
-        assert (
-            main(
-                ["critpath", "dcgan", "sentinel", "--batch", "8", "--json", str(path)]
-            )
-            == 0
-        )
+        assert main(
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--critpath", str(path)]
+        ) == 0
         import json
 
         payload = json.loads(path.read_text())
@@ -394,15 +412,20 @@ class TestCritpathCommand:
             )
             assert abs(components - step["duration"]) < 1e-6
 
-    def test_truncated_trace_refused_with_error(self, capsys):
+    def test_truncated_trace_refused_with_error(self, monkeypatch, capsys):
         # A tiny ring buffer guarantees drops on any real run; the command
         # must refuse clearly instead of printing partial numbers.
-        assert (
-            main(
-                ["critpath", "dcgan", "sentinel", "--batch", "8", "--capacity", "64"]
-            )
-            == 1
-        )
+        import repro.obs
+
+        class TinyTracer(repro.obs.EventTracer):
+            def __init__(self):
+                super().__init__(capacity=64)
+
+        monkeypatch.setattr(repro.obs, "EventTracer", TinyTracer)
+        assert main(
+            ["run", "dcgan", "sentinel", "--batch", "8", "--fast-fraction", "0.2",
+             "--critpath"]
+        ) == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert "attribution may be partial" in captured.err
