@@ -1,106 +1,55 @@
-"""Tracer: recording, analysis helpers, export."""
+"""Executor per-access hook: one record per access, traffic matches the step."""
 
 import pytest
 
-from repro.dnn import Executor, PlacementPolicy, Tracer
-from repro.dnn.trace import TraceRecord
+from repro.dnn import Executor, PlacementPolicy
+from repro.dnn.tensor import TensorKind
+from repro.mem.devices import DeviceKind
 from repro.mem.machine import Machine
 from repro.mem.platforms import OPTANE_HM
 from repro.models import build_model
 
 
+class WeightsFast(PlacementPolicy):
+    def place(self, tensor, now):
+        if tensor.kind is TensorKind.WEIGHT:
+            return DeviceKind.FAST
+        return DeviceKind.SLOW
+
+
+class Recorder:
+    """Minimal per-access hook: keeps every call in order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def record(self, step, layer, op, access, charge, now):
+        self.calls.append((step, layer.index, op.name, access.tensor.name, charge, now))
+
+
 @pytest.fixture(scope="module")
 def traced_run():
     graph = build_model("dcgan", batch_size=16)
-    tracer = Tracer()
-    executor = Executor(graph, Machine(OPTANE_HM), PlacementPolicy(), tracer=tracer)
+    hook = Recorder()
+    executor = Executor(graph, Machine(OPTANE_HM), WeightsFast(), tracer=hook)
     result = executor.run_step()
-    return graph, tracer, result
+    return graph, hook, result
 
 
 class TestRecording:
     def test_one_record_per_access(self, traced_run):
-        graph, tracer, _ = traced_run
-        expected = sum(len(op.accesses) for layer in graph.layers for op in layer.ops)
-        assert len(tracer) == expected
+        graph, hook, _ = traced_run
+        assert [call[1:4] for call in hook.calls] == [
+            (layer.index, op.name, access.tensor.name)
+            for layer in graph.layers
+            for op in layer.ops
+            for access in op.accesses
+        ]
+        assert all(call[0] == 0 for call in hook.calls)
+        times = [call[5] for call in hook.calls]
+        assert times == sorted(times)
 
     def test_trace_traffic_matches_step_result(self, traced_run):
-        _, tracer, result = traced_run
-        fast, slow = tracer.traffic()
-        assert fast == result.bytes_fast
-        assert slow == result.bytes_slow
-
-    def test_records_carry_context(self, traced_run):
-        graph, tracer, _ = traced_run
-        record = tracer.records[0]
-        assert record.layer_index == 0
-        assert record.layer_name == graph.layers[0].name
-        assert record.when >= 0.0
-
-    def test_served_from_classification(self):
-        base = dict(
-            step=0, layer_index=0, layer_name="l", op_name="o",
-            tensor_name="t", tensor_kind="temp", nbytes=1, passes=1,
-            is_write=False, mem_time=0.0, stall=0.0, fault_time=0.0, when=0.0,
-        )
-        assert TraceRecord(**base, bytes_fast=1, bytes_slow=0).served_from == "fast"
-        assert TraceRecord(**base, bytes_fast=0, bytes_slow=1).served_from == "slow"
-        assert TraceRecord(**base, bytes_fast=1, bytes_slow=1).served_from == "mixed"
-
-    def test_truncation_cap(self):
-        graph = build_model("dcgan", batch_size=8)
-        tracer = Tracer(max_records=10)
-        executor = Executor(graph, Machine(OPTANE_HM), PlacementPolicy(), tracer=tracer)
-        executor.run_step()
-        assert len(tracer) == 10
-        assert tracer.truncated
-
-    def test_cap_validation(self):
-        with pytest.raises(ValueError):
-            Tracer(max_records=0)
-
-    def test_clear(self, traced_run):
-        _, tracer, _ = traced_run
-        copy = Tracer()
-        copy.records = list(tracer.records)
-        copy.clear()
-        assert len(copy) == 0 and not copy.truncated
-
-
-class TestAnalysis:
-    def test_by_layer_partition(self, traced_run):
-        graph, tracer, _ = traced_run
-        grouped = tracer.by_layer()
-        assert set(grouped) == set(range(graph.num_layers))
-        assert sum(len(v) for v in grouped.values()) == len(tracer)
-
-    def test_slow_time_by_kind_on_slow_policy(self, traced_run):
-        _, tracer, _ = traced_run
-        totals = tracer.slow_time_by_kind()
-        assert totals  # slow-only run: everything is slow
-        assert all(v > 0 for v in totals.values())
-
-    def test_hottest_tensors_ranked(self, traced_run):
-        _, tracer, _ = traced_run
-        ranked = tracer.hottest_tensors(top=5)
-        counts = [count for _, count in ranked]
-        assert counts == sorted(counts, reverse=True)
-        assert ranked[0][0] == "runtime.workspace"
-
-    def test_stall_events_empty_on_cpu(self, traced_run):
-        _, tracer, _ = traced_run
-        assert tracer.stall_events() == []
-
-
-class TestExport:
-    def test_csv_roundtrip_shape(self, traced_run):
-        _, tracer, _ = traced_run
-        lines = tracer.to_csv().splitlines()
-        assert lines[0].split(",") == list(Tracer.FIELDS)
-        assert len(lines) == len(tracer) + 1
-
-    def test_write_csv(self, traced_run, tmp_path):
-        _, tracer, _ = traced_run
-        path = tmp_path / "trace.csv"
-        tracer.write_csv(str(path))
-        assert path.read_text().startswith("step,")
+        _, hook, result = traced_run
+        assert sum(call[4].bytes_fast for call in hook.calls) == result.bytes_fast > 0
+        assert sum(call[4].bytes_slow for call in hook.calls) == result.bytes_slow > 0
